@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combiner import CombinerWeights
-from .core import LabelVector, PredictionMatrix, harden, sigmoid, thresholded_norm
+from .core import (LabelVector, PredictionMatrix, check_probs, sigmoid,
+                   thresholded_distance, thresholded_norm)
 from .errors import DegenerateWeightsError, ValidationError
 
 __all__ = ["BoundReport", "weight_sum", "normalized_score", "weight_sum_bounds"]
@@ -55,8 +56,7 @@ def normalized_score(weights: CombinerWeights, p) -> float:
     v = np.asarray(p, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] != weights.k:
         raise ValidationError(f"expected {weights.k} probabilities")
-    if not np.isfinite(v).all() or (v < 0).any() or (v > 1).any():
-        raise ValidationError("inputs must be probabilities in [0, 1]")
+    check_probs(v)
     total = weight_sum(weights)
     if total <= 0.0:
         raise DegenerateWeightsError("all combination weights are zero")
@@ -83,13 +83,9 @@ def weight_sum_bounds(weights: CombinerWeights, matrix: PredictionMatrix,
     raw = sub.values @ weights.w
     t, b = weights.t, weights.b
 
-    hard_u = harden(u, t)
-    hard_y = harden(sigmoid(raw - b), t)
-    hard_yhat = harden(sigmoid(raw / total - b), t)
-
     norm_u = thresholded_norm(u, t)
-    err_y = float(np.sqrt(int(((hard_u - hard_y) ** 2).sum())))
-    err_yhat = float(np.sqrt(int(((hard_u - hard_yhat) ** 2).sum())))
+    err_y = thresholded_distance(u, sigmoid(raw - b), t)
+    err_yhat = thresholded_distance(u, sigmoid(raw / total - b), t)
 
     lo_den = norm_u + err_yhat
     lower = (norm_u - err_y) / lo_den if lo_den > 0.0 else -math.inf

@@ -10,6 +10,7 @@ commands are deterministic given identical flags and seeds.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import io_files
@@ -34,7 +35,11 @@ def _float_list(text: str) -> list[float]:
 
 
 def _grid(text: str) -> list[float]:
-    """Parse lo:hi:step into an inclusive two-sided grid."""
+    """Parse lo:hi:step into lo, lo+step, ... up to hi, never past it.
+
+    hi is kept when it lies on the grid, even where (hi - lo) / step falls
+    just short of a whole number in floating point (0.55:0.95:0.1).
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi:step, got {text!r}")
@@ -42,10 +47,10 @@ def _grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must be numeric, got {text!r}")
-    if step <= 0 or hi < lo:
-        raise argparse.ArgumentTypeError("grid needs step > 0 and hi >= lo")
-    count = int(round((hi - lo) / step)) + 1
-    return [round(lo + i * step, 10) for i in range(count)]
+    if not (-math.inf < lo <= hi < math.inf and 0.0 < step < math.inf):
+        raise argparse.ArgumentTypeError("grid needs finite values, step > 0 and hi >= lo")
+    count = int((hi - lo) / step + 1e-9) + 1
+    return [min(round(lo + i * step, 10), hi) for i in range(count)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,6 +163,12 @@ def _train_config(args) -> TrainConfig:
                        batch_size=args.batch, l2=args.l2, seed=args.seed)
 
 
+def _hybrid_models(args) -> tuple[str, tuple[str, ...]]:
+    if not args.hybrid_base or not args.hybrid_aux:
+        raise ValidationError("--method hybrid needs --hybrid-base and --hybrid-aux")
+    return args.hybrid_base, tuple(args.hybrid_aux)
+
+
 def _cmd_train_nn(args) -> None:
     matrix = io_files.load_matrix(args.preds)
     labels = io_files.load_label_file(args.labels)
@@ -172,10 +183,7 @@ def _cmd_combine(args) -> None:
             raise ValidationError("--method nn needs --weights")
         series = predict(io_files.load_weights(args.weights).weights, matrix)
     elif args.method == "hybrid":
-        if not args.hybrid_base or not args.hybrid_aux:
-            raise ValidationError("--method hybrid needs --hybrid-base and --hybrid-aux")
-        cfg = HybridConfig(args.hybrid_base, tuple(args.hybrid_aux),
-                           args.rule, args.theta)
+        cfg = HybridConfig(*_hybrid_models(args), args.rule, args.theta)
         pred = hybrid_predict(cfg, matrix)
         series = ProbSeries(pred.ids, pred.probs)
     else:
@@ -225,24 +233,16 @@ def _cmd_cv(args) -> None:
     test_m = io_files.load_matrix(args.test_preds)
     test_u = io_files.load_label_file(args.test_labels)
     if args.method == "nn":
-        method = NNMethod(config=_train_config_cv(args))
+        method = NNMethod(config=_train_config(args))
     elif args.method == "hybrid":
-        if not args.hybrid_base or not args.hybrid_aux:
-            raise ValidationError("--method hybrid needs --hybrid-base and --hybrid-aux")
-        method = HybridMethod(base=args.hybrid_base, aux=tuple(args.hybrid_aux),
-                              rule=args.rule,
-                              grid=tuple(args.grid) if args.grid else ())
+        method = HybridMethod(*_hybrid_models(args), rule=args.rule,
+                              grid=tuple(args.grid or ()))
     else:
         method = RuleMethod(args.method)
     plan = RunPlan(n_folds=args.folds, repeats_per_fold=args.repeats,
                    seed=args.seed)
     report = cross_validate(plan, train_m, train_u, test_m, test_u, method)
     _emit(report_render(report, include_runs=not args.summary_only), args.out)
-
-
-def _train_config_cv(args) -> TrainConfig:
-    return TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                       batch_size=args.batch, l2=args.l2, seed=args.seed)
 
 
 _COMMANDS = {

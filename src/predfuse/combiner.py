@@ -6,15 +6,21 @@ before the sigmoid; the class comes from thresholding the sigmoid output.
 Training minimizes mean binary cross-entropy plus an L2 penalty on the
 weights (not the shift) with ADAM, projecting weights back to >= 0 after
 every step and recording whether any projection actually clipped.
+
+:func:`predict` is the forward kernel; the scalar helpers :func:`raw_score`
+and :func:`forward` are one-row views of it.  :func:`gradient` and every
+training step share one private gradient kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabelVector, PredictionMatrix, ProbSeries, check_threshold, sigmoid
+from .core import (LabelVector, PredictionMatrix, ProbSeries, check_seed,
+                   check_threshold, sigmoid)
 from .errors import ConstraintError, ValidationError
 from .optim import Adam
 
@@ -71,12 +77,13 @@ class TrainConfig:
     shuffle_each_epoch: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValidationError("learning_rate must be positive and finite")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be positive")
-        if self.l2 < 0:
-            raise ValidationError("l2 must be non-negative")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ValidationError("l2 must be non-negative and finite")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -89,26 +96,19 @@ class TrainResult:
     degenerate_labels: bool
 
 
-def _check_vector(weights: CombinerWeights, p) -> np.ndarray:
-    v = np.asarray(p, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != weights.k:
-        raise ValidationError(
-            f"probability vector has length {v.shape[0] if v.ndim == 1 else '?'}, "
-            f"expected {weights.k}"
-        )
-    if not np.isfinite(v).all() or (v < 0).any() or (v > 1).any():
-        raise ValidationError("inputs must be probabilities in [0, 1]")
-    return v
+def _row(weights: CombinerWeights, p) -> PredictionMatrix:
+    """One sample's K probabilities as a one-row matrix."""
+    return PredictionMatrix(("0",), weights.model_names, np.asarray(p)[None])
 
 
 def raw_score(weights: CombinerWeights, p) -> float:
     """Weighted sum of model probabilities; non-negative by construction."""
-    return float(_check_vector(weights, p) @ weights.w)
+    return float((_row(weights, p).values @ weights.w)[0])
 
 
 def forward(weights: CombinerWeights, p) -> float:
     """Combined probability: sigmoid(raw_score - b)."""
-    return float(sigmoid(raw_score(weights, p) - weights.b))
+    return float(predict(weights, _row(weights, p)).values[0])
 
 
 def predict(weights: CombinerWeights, matrix: PredictionMatrix) -> ProbSeries:
@@ -147,10 +147,14 @@ def gradient(weights: CombinerWeights, matrix: PredictionMatrix,
              labels: LabelVector, l2: float = 0.039) -> np.ndarray:
     """Analytic gradient of :func:`loss`, length K+1: d/dw_1..K then d/db."""
     x, u = _training_arrays(matrix.select(weights.model_names), labels)
-    resid = sigmoid(x @ weights.w - weights.b) - u
-    gw = x.T @ resid / len(u) + 2.0 * float(l2) * weights.w
-    gb = -float(resid.mean())
-    return np.append(gw, gb)
+    return _gradient(weights.w, weights.b, x, u, float(l2))
+
+
+def _gradient(w: np.ndarray, b: float, x: np.ndarray, u: np.ndarray,
+              l2: float) -> np.ndarray:
+    resid = sigmoid(x @ w - b) - u
+    gw = x.T @ resid / len(u) + 2.0 * l2 * w
+    return np.append(gw, -resid.mean())
 
 
 def train(matrix: PredictionMatrix, labels: LabelVector,
@@ -190,11 +194,8 @@ def train(matrix: PredictionMatrix, labels: LabelVector,
         order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb, ub = x[idx], u[idx]
-            resid = sigmoid(xb @ w - b) - ub
-            gw = xb.T @ resid / len(idx) + 2.0 * cfg.l2 * w
-            gb = -resid.mean()
-            params = opt.step(np.append(w, b), np.append(gw, gb))
+            grad = _gradient(w, b, x[idx], u[idx], cfg.l2)
+            params = opt.step(np.append(w, b), grad)
             w, b = params[:k], float(params[k])
             if (w < 0).any():
                 clipped = True
@@ -206,7 +207,3 @@ def train(matrix: PredictionMatrix, labels: LabelVector,
     return TrainResult(weights=weights, config=cfg, clipped_any=clipped,
                        degenerate_labels=degenerate)
 
-
-def with_threshold(weights: CombinerWeights, t: float) -> CombinerWeights:
-    """Copy of the weights with a different decision threshold."""
-    return replace(weights, t=check_threshold(t))

@@ -14,6 +14,7 @@ raw values.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
     "thresholded_distance",
     "accuracy",
     "check_threshold",
+    "check_probs",
+    "check_seed",
 ]
 
 
@@ -44,6 +47,21 @@ def check_threshold(t: float) -> float:
     return t
 
 
+def check_probs(values) -> np.ndarray:
+    """Validate probabilities, finite and in [0, 1]; return them as float64."""
+    v = np.asarray(values, dtype=np.float64)
+    bad = ~((v >= 0.0) & (v <= 1.0))  # NaN fails both comparisons
+    if bad.any():
+        raise ValidationError(f"probability {v[bad][0]} outside [0, 1]")
+    return v
+
+
+def check_seed(seed: int) -> None:
+    """Validate a random seed; numpy's PCG64 accepts only non-negative ones."""
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+
+
 def _as_ids(ids) -> tuple[str, ...]:
     out = tuple(str(i) for i in ids)
     if not out:
@@ -51,13 +69,18 @@ def _as_ids(ids) -> tuple[str, ...]:
     if any(i == "" for i in out):
         raise ValidationError("sample ids must be non-empty")
     if len(set(out)) != len(out):
-        dupes = sorted({i for i in out if out.count(i) > 1})
+        dupes = sorted(i for i, n in Counter(out).items() if n > 1)
         raise ValidationError(f"duplicate sample ids: {dupes[:5]}")
     return out
 
 
-def _index_of(ids: tuple[str, ...]) -> dict[str, int]:
-    return {sid: k for k, sid in enumerate(ids)}
+def _rows_of(ids: tuple[str, ...], wanted, missing: str) -> np.ndarray:
+    """Row index in ``ids`` of each wanted id; AlignmentError names a missing one."""
+    index = {sid: k for k, sid in enumerate(ids)}
+    try:
+        return np.asarray([index[sid] for sid in wanted])
+    except KeyError as exc:
+        raise AlignmentError(f"{missing} {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -88,11 +111,7 @@ class LabelVector:
     def restrict(self, ids) -> "LabelVector":
         """Sub-vector with the given sample ids, in the given order."""
         ids = tuple(str(i) for i in ids)
-        index = _index_of(self.ids)
-        try:
-            rows = np.asarray([index[sid] for sid in ids])
-        except KeyError as exc:
-            raise AlignmentError(f"labels have no sample id {exc.args[0]!r}") from None
+        rows = _rows_of(self.ids, ids, "labels have no sample id")
         return LabelVector(ids, self.values[rows])
 
 
@@ -108,12 +127,7 @@ class ProbSeries:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.shape[0] != len(self.ids):
             raise ValidationError("probability values must be 1-d and match the id count")
-        if not np.isfinite(v).all():
-            raise ValidationError("probabilities must be finite")
-        if (v < 0.0).any() or (v > 1.0).any():
-            bad = v[(v < 0.0) | (v > 1.0)][0]
-            raise ValidationError(f"probability {bad} outside [0, 1]")
-        v = v.copy()
+        v = check_probs(v).copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -127,16 +141,12 @@ class ProbSeries:
 def _align_values(src_ids, src_values, target_ids, what: str) -> np.ndarray:
     if src_ids == tuple(target_ids):
         return src_values
-    index = _index_of(src_ids)
-    try:
-        order = [index[sid] for sid in target_ids]
-    except KeyError as exc:
-        raise AlignmentError(f"{what} are missing sample id {exc.args[0]!r}") from None
+    order = _rows_of(src_ids, target_ids, f"{what} are missing sample id")
     if len(target_ids) != len(src_ids):
         raise AlignmentError(
             f"{what} cover {len(src_ids)} samples, expected {len(target_ids)}"
         )
-    return src_values[np.asarray(order)]
+    return src_values[order]
 
 
 @dataclass(frozen=True)
@@ -165,11 +175,7 @@ class PredictionMatrix:
             raise ValidationError(
                 f"values must have shape ({len(self.ids)}, {len(names)}), got {v.shape}"
             )
-        if not np.isfinite(v).all():
-            raise ValidationError("probabilities must be finite")
-        if (v < 0.0).any() or (v > 1.0).any():
-            raise ValidationError("probabilities must lie in [0, 1]")
-        v = v.copy()
+        v = check_probs(v).copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -208,11 +214,7 @@ class PredictionMatrix:
     def restrict(self, ids) -> "PredictionMatrix":
         """Sub-matrix with the given sample ids, in the given order."""
         ids = _as_ids(ids)
-        index = _index_of(self.ids)
-        try:
-            rows = np.asarray([index[sid] for sid in ids])
-        except KeyError as exc:
-            raise AlignmentError(f"matrix has no sample id {exc.args[0]!r}") from None
+        rows = _rows_of(self.ids, ids, "matrix has no sample id")
         return PredictionMatrix(ids, self.model_names, self.values[rows])
 
     def _col(self, name: str) -> int:
@@ -246,10 +248,7 @@ def shifted_sigmoid(score, b: float):
     of the sigmoid's centre; subtracting the shift b re-centres them before
     thresholding.
     """
-    b = float(b)
-    if not np.isfinite(b):
-        raise ValidationError("shift b must be finite")
-    return sigmoid(np.asarray(score, dtype=np.float64) - b)
+    return sigmoid(np.asarray(score, dtype=np.float64) - float(b))
 
 
 def assign_class(p: float, t: float = 0.5) -> int:
@@ -259,10 +258,7 @@ def assign_class(p: float, t: float = 0.5) -> int:
     :func:`harden` for raw-valued series.
     """
     t = check_threshold(t)
-    p = float(p)
-    if not np.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise ValidationError(f"probability {p} outside [0, 1]")
-    return 1 if p >= t else 0
+    return 1 if check_probs(float(p)) >= t else 0
 
 
 def harden(values, t: float = 0.5) -> np.ndarray:

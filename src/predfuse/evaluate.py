@@ -18,9 +18,9 @@ import numpy as np
 
 from .bounds import BoundReport, weight_sum_bounds
 from .combiner import TrainConfig, predict, train
-from .core import LabelVector, PredictionMatrix, accuracy
+from .core import LabelVector, PredictionMatrix, accuracy, check_seed
 from .errors import ValidationError
-from .hybrid import HybridConfig, default_theta_grid, hybrid_predict, theta_sweep
+from .hybrid import HybridConfig, hybrid_predict, theta_sweep
 from .rules import apply_rule, check_rule_kind
 
 __all__ = ["FoldSplit", "RunPlan", "RunRecord", "EvalReport",
@@ -73,6 +73,7 @@ def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
         raise ValidationError("need at least two folds")
     if len(ids) < n_folds:
         raise ValidationError(f"cannot split {len(ids)} ids into {n_folds} folds")
+    check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(ids))
     shuffled = [ids[i] for i in order]
@@ -91,6 +92,7 @@ class RunPlan:
             raise ValidationError("need at least two folds")
         if self.repeats_per_fold < 1:
             raise ValidationError("need at least one repeat per fold")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -118,10 +120,7 @@ class HybridMethod:
     base: str
     aux: tuple[str, ...]
     rule: str = "sum"
-    grid: tuple[float, ...] = ()
-
-    def theta_grid(self) -> list[float]:
-        return list(self.grid) if self.grid else default_theta_grid()
+    grid: tuple[float, ...] = ()  # empty: theta_sweep's default grid
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
             fold_m = train_preds.restrict(fold_ids)
             fold_u = train_labels.restrict(fold_ids)
             sweep = theta_sweep(method.base, method.aux, method.rule,
-                                fold_m, fold_u, method.theta_grid())
+                                fold_m, fold_u, method.grid or None)
             cfg = HybridConfig(method.base, method.aux, method.rule,
                                sweep.best_theta)
             pred = hybrid_predict(cfg, test_preds)

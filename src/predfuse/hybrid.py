@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabelVector, PredictionMatrix, harden
+from .core import LabelVector, PredictionMatrix, check_probs, harden
 from .errors import ConstraintError, ValidationError
 from .rules import check_rule_kind, rule_scores
 
@@ -46,10 +46,14 @@ class HybridConfig:
             raise ConstraintError(
                 f"majority vote needs an odd auxiliary count, got {len(aux)}"
             )
-        th = float(self.theta)
-        if not 0.5 < th < 1.0:
-            raise ConstraintError(f"theta must satisfy 0.5 < theta < 1, got {th}")
-        object.__setattr__(self, "theta", th)
+        object.__setattr__(self, "theta", _check_theta(self.theta))
+
+
+def _check_theta(theta) -> float:
+    th = float(theta)
+    if not 0.5 < th < 1.0:
+        raise ConstraintError(f"theta must satisfy 0.5 < theta < 1, got {th}")
+    return th
 
 
 @dataclass(frozen=True)
@@ -57,20 +61,19 @@ class HybridPrediction:
     """Per-sample decisions plus which side produced each one."""
 
     ids: tuple[str, ...]
-    probs: np.ndarray = field(repr=False)    # base prob or rule score
+    probs: np.ndarray = field(repr=False)     # base prob or rule score
     labels: np.ndarray = field(repr=False)
-    source: tuple[str, ...] = field(repr=False)  # "base" | "aux" per sample
+    fallback: np.ndarray = field(repr=False)  # True where the rule decided
 
     @property
     def fallback_fraction(self) -> float:
-        return sum(1 for s in self.source if s == "aux") / len(self.ids)
+        return float(self.fallback.mean())
 
 
 def confidence(p: float) -> float:
     """Distance-from-the-boundary confidence of a probability: max(p, 1-p)."""
     p = float(p)
-    if not np.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise ValidationError(f"probability {p} outside [0, 1]")
+    check_probs(p)
     return max(p, 1.0 - p)
 
 
@@ -91,11 +94,10 @@ def hybrid_predict(cfg: HybridConfig, matrix: PredictionMatrix) -> HybridPredict
     """
     base_p, conf, base_lab, aux_scores, aux_lab = _decision_arrays(
         cfg.base, cfg.aux, cfg.rule, matrix)
-    use_base = conf >= cfg.theta
-    labels = np.where(use_base, base_lab, aux_lab)
-    probs = np.where(use_base, base_p, aux_scores)
-    source = tuple("base" if ub else "aux" for ub in use_base)
-    return HybridPrediction(matrix.ids, probs, labels, source)
+    fallback = conf < cfg.theta
+    labels = np.where(fallback, aux_lab, base_lab)
+    probs = np.where(fallback, aux_scores, base_p)
+    return HybridPrediction(matrix.ids, probs, labels, fallback)
 
 
 def default_theta_grid() -> list[float]:
@@ -130,11 +132,9 @@ def theta_sweep(base: str, aux, rule: str, matrix: PredictionMatrix,
     if not grid:
         raise ValidationError("theta grid is empty")
     for g in grid:
-        if not 0.5 < g < 1.0:
-            raise ConstraintError(f"theta must satisfy 0.5 < theta < 1, got {g}")
+        _check_theta(g)
     _, conf, base_lab, _, aux_lab = _decision_arrays(base, tuple(aux), rule, matrix)
     u = labels.align_to(matrix.ids)
-    n = len(u)
     rows = []
     best_theta, best_acc = None, -1.0
     for th in grid:

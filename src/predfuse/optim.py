@@ -9,22 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
+# Standard decay rates and epsilon; only the learning rate is worth touching.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    """ADAM with bias-corrected first/second moments.
+    """ADAM with bias-corrected first/second moments."""
 
-    Standard decay rates (0.9, 0.999) and epsilon 1e-8; only the learning
-    rate is usually worth touching.
-    """
-
-    def __init__(self, n_params: int, lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, n_params: int, lr: float = 0.001):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
@@ -32,8 +27,8 @@ class Adam:
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Return the updated parameter vector (does not mutate the input)."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = _BETA1 * self.m + (1.0 - _BETA1) * grad
+        self.v = _BETA2 * self.v + (1.0 - _BETA2) * grad * grad
+        m_hat = self.m / (1.0 - _BETA1 ** self.t)
+        v_hat = self.v / (1.0 - _BETA2 ** self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)

@@ -10,6 +10,10 @@ Useful identities, all covered by tests:
     the sum);
   * for K = 2, max also agrees with sum, because max(p) + min(p) = p1 + p2;
   * majority vote equals sum when every p_i is already hard (0 or 1).
+
+Each rule has one implementation, the vectorized :func:`rule_scores`.  The
+scalar helpers (:func:`sum_rule` and friends) are one-row views of it, so
+tests that check them against brute-force oracles check the kernel itself.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PredictionMatrix, ProbSeries, harden
+from .core import PredictionMatrix, ProbSeries, check_probs
 from .errors import ConstraintError, ValidationError
 
 RULE_KINDS = ("sum", "avg", "max", "maj")
@@ -39,35 +43,25 @@ class RuleDecision:
     score: float
 
 
-def _check_vector(p, rule: str) -> np.ndarray:
-    v = np.asarray(p, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValidationError(f"{rule} rule needs a non-empty probability vector")
-    if not np.isfinite(v).all() or (v < 0).any() or (v > 1).any():
-        raise ValidationError(f"{rule} rule input must be probabilities in [0, 1]")
-    return v
+def _one_row(rule: str, p) -> RuleDecision:
+    """A rule's decision for one sample: the first row of :func:`rule_scores`."""
+    scores, labels = rule_scores(rule, check_probs(p)[None])
+    return RuleDecision(label=int(labels[0]), score=float(scores[0]))
 
 
 def sum_rule(p) -> RuleDecision:
     """Class 1 iff sum(p) >= sum(1 - p), i.e. mean(p) >= 0.5."""
-    v = _check_vector(p, "sum")
-    score = float(v.mean())
-    return RuleDecision(label=int(score >= 0.5), score=score)
+    return _one_row("sum", p)
 
 
 def average_rule(p) -> RuleDecision:
     """Class with the larger mean posterior; decides identically to sum_rule."""
-    v = _check_vector(p, "avg")
-    score = float(v.mean())
-    return RuleDecision(label=int(score >= 0.5), score=score)
+    return _one_row("avg", p)
 
 
 def max_rule(p) -> RuleDecision:
     """Class 1 iff max(p) >= max(1 - p); score normalizes the two maxima."""
-    v = _check_vector(p, "max")
-    hi1 = float(v.max())
-    hi0 = float((1.0 - v).max())
-    return RuleDecision(label=int(hi1 >= hi0), score=hi1 / (hi1 + hi0))
+    return _one_row("max", p)
 
 
 def majority_vote(p) -> RuleDecision:
@@ -76,26 +70,11 @@ def majority_vote(p) -> RuleDecision:
     Only defined for odd K: an even panel can tie, so it is rejected rather
     than silently broken.
     """
-    v = _check_vector(p, "maj")
-    if v.size % 2 == 0:
-        raise ConstraintError(
-            f"majority vote needs an odd number of models, got {v.size}"
-        )
-    votes = harden(v, 0.5)
-    score = float(votes.mean())
-    return RuleDecision(label=int(2 * int(votes.sum()) > v.size), score=score)
-
-
-_RULE_FUNCS = {
-    "sum": sum_rule,
-    "avg": average_rule,
-    "max": max_rule,
-    "maj": majority_vote,
-}
+    return _one_row("maj", p)
 
 
 def check_rule_kind(rule: str) -> str:
-    if rule not in _RULE_FUNCS:
+    if rule not in RULE_KINDS:
         raise ValidationError(f"unknown rule {rule!r}; expected one of {RULE_KINDS}")
     return rule
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelVector, PredictionMatrix, harden, sigmoid
+from .core import LabelVector, PredictionMatrix, check_seed, harden, sigmoid
 from .errors import ValidationError
 
 __all__ = ["SyntheticSpec", "inv_norm_cdf", "generate", "estimate_error_correlation"]
@@ -103,8 +103,9 @@ class SyntheticSpec:
             raise ValidationError("sample count must be positive")
         if not 0.0 <= self.balance <= 1.0:
             raise ValidationError("balance must lie in [0, 1]")
-        if self.sharpness <= 0:
-            raise ValidationError("sharpness must be positive")
+        if not 0.0 < self.sharpness < math.inf:
+            raise ValidationError("sharpness must be positive and finite")
+        check_seed(self.seed)
 
     @property
     def model_names(self) -> tuple[str, ...]:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from predfuse.cli import main
+from predfuse.cli import _grid, main
 from predfuse.evaluate import parse_report
+from predfuse.hybrid import default_theta_grid
 from predfuse.io_files import load_prediction_file
 
 
@@ -163,6 +164,86 @@ class TestSweepTheta:
         lines = read(out).strip().splitlines()
         assert lines[0] == "theta\taccuracy\tfallback_fraction"
         assert len(lines) == 50
+
+
+class TestGrid:
+    """--grid lo:hi:step never passes hi, and keeps hi when it is on the grid."""
+
+    def test_overshooting_step_stops_below_hi(self):
+        grid = _grid("0.51:0.99:0.05")
+        assert len(grid) == 10
+        assert grid[-1] == 0.96
+
+    def test_hi_kept_when_step_count_is_inexact(self):
+        # (0.95 - 0.55) / 0.1 is 3.9999999999999996 in floating point
+        assert _grid("0.55:0.95:0.1") == [0.55, 0.65, 0.75, 0.85, 0.95]
+
+    def test_readme_grid_is_the_default_grid(self):
+        assert _grid("0.51:0.99:0.01") == default_theta_grid()
+
+    def test_overshooting_grid_sweeps(self, suite, tmp_path):
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep-theta", "--preds", *suite["train_preds"],
+                     "--labels", suite["train_labels"], "--base", "M3",
+                     "--aux", "M1", "M2", "--grid", "0.51:0.99:0.05",
+                     "--out", str(out)]) == 0
+        thetas = [float(ln.split("\t")[0]) for ln in read(out).splitlines()[1:]]
+        assert thetas == _grid("0.51:0.99:0.05")
+
+    @pytest.mark.parametrize("text", ["0.6:inf:0.1", "-inf:0.9:0.1", "0.6:0.9:nan"])
+    def test_non_finite_grid_rejected(self, suite, tmp_path, text):
+        out = tmp_path / "sweep.tsv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-theta", "--preds", *suite["train_preds"],
+                  "--labels", suite["train_labels"], "--base", "M3",
+                  "--aux", "M1", "M2", "--grid", text, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
+def _synth_args(suite, out, *flags):
+    return ["synth", "--models", "2", "--acc", "0.8,0.9", "--n", "50",
+            *flags, "--out", str(out)]
+
+
+def _train_nn_args(suite, out, *flags):
+    return ["train-nn", "--preds", *suite["train_preds"],
+            "--labels", suite["train_labels"], "--epochs", "2",
+            *flags, "--out", str(out)]
+
+
+def _cv_args(suite, out, *flags):
+    return ["cv", "--folds", "2", "--repeats", "1", "--epochs", "2",
+            "--train-preds", *suite["train_preds"],
+            "--train-labels", suite["train_labels"],
+            "--test-preds", *suite["test_preds"],
+            "--test-labels", suite["test_labels"], *flags, "--out", str(out)]
+
+
+class TestRejectedAtConfig:
+    """Bad seeds and non-finite hyperparameters exit 2, name the culprit and
+    write nothing."""
+
+    @pytest.mark.parametrize("build, flags, culprit", [
+        pytest.param(_synth_args, ("--seed", "-1"), "seed", id="synth-seed"),
+        pytest.param(_synth_args, ("--sharpness", "nan"), "sharpness", id="synth-sharpness-nan"),
+        pytest.param(_synth_args, ("--sharpness", "inf"), "sharpness", id="synth-sharpness-inf"),
+        pytest.param(_train_nn_args, ("--seed", "-1"), "seed", id="train-seed"),
+        pytest.param(_train_nn_args, ("--lr", "nan"), "learning_rate", id="train-lr-nan"),
+        pytest.param(_train_nn_args, ("--lr", "inf"), "learning_rate", id="train-lr-inf"),
+        pytest.param(_train_nn_args, ("--l2", "nan"), "l2", id="train-l2-nan"),
+        pytest.param(_cv_args, ("--method", "nn", "--seed", "-1"), "seed", id="cv-nn-seed"),
+        pytest.param(_cv_args, ("--method", "max", "--seed", "-1"), "seed", id="cv-max-seed"),
+        pytest.param(_cv_args, ("--method", "nn", "--lr", "nan"), "learning_rate", id="cv-lr-nan"),
+        pytest.param(_cv_args, ("--method", "nn", "--l2", "nan"), "l2", id="cv-l2-nan"),
+    ])
+    def test_exit_2_and_no_output(self, suite, tmp_path, capsys, build, flags, culprit):
+        out = tmp_path / "out"
+        assert main(build(suite, out, *flags)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("predfuse: invalid input:")
+        assert culprit in err
 
 
 class TestCheckBound:

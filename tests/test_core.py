@@ -216,6 +216,12 @@ class TestContainers:
         with pytest.raises(ValidationError):
             LabelVector(("a", "a"), [0, 1])
 
+    def test_duplicate_ids_message_lists_first_five_sorted(self):
+        ids = ("z", "a", "z", "q", "b", "b", "c", "c", "d", "d", "a", "e", "e", "q")
+        with pytest.raises(ValidationError) as exc:
+            LabelVector(ids, [0] * len(ids))
+        assert str(exc.value) == "duplicate sample ids: ['a', 'b', 'c', 'd', 'e']"
+
     def test_nonbinary_labels_rejected(self):
         with pytest.raises(ValidationError):
             LabelVector(("a", "b"), [0, 2])

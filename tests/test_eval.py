@@ -41,6 +41,12 @@ class TestKFold:
         with pytest.raises(ValidationError):
             kfold_split(["a", "b"], 3, 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            kfold_split(["a", "b", "c"], 2, -1)
+        with pytest.raises(ValidationError, match="seed"):
+            RunPlan(seed=-1)
+
 
 class TestSeedDerivation:
     def test_pure_function(self):

@@ -41,14 +41,14 @@ class TestHybridPredict:
     def test_confident_base_is_used(self):
         m = make_matrix([[0.95, 0.2, 0.3]], names=("B", "A1", "A2"))
         pred = hybrid_predict(HybridConfig("B", ("A1", "A2"), "max", 0.91), m)
-        assert pred.source == ("base",)
+        assert pred.fallback.tolist() == [False]
         assert pred.labels.tolist() == [1]
 
     def test_unconfident_base_falls_back_to_rule(self):
         # base conf 0.6 < 0.91; max rule over [0.2, 0.3]: 0.3 < 0.8 -> class 0
         m = make_matrix([[0.6, 0.2, 0.3]], names=("B", "A1", "A2"))
         pred = hybrid_predict(HybridConfig("B", ("A1", "A2"), "max", 0.91), m)
-        assert pred.source == ("aux",)
+        assert pred.fallback.tolist() == [True]
         assert pred.labels.tolist() == [0]
 
     def test_theta_near_half_keeps_base_everywhere(self, rng):
@@ -57,16 +57,15 @@ class TestHybridPredict:
                               np.minimum(vals[:, 0], 0.48))
         m = make_matrix(vals, names=("B", "A1", "A2"))
         pred = hybrid_predict(HybridConfig("B", ("A1", "A2"), "sum", 0.51), m)
-        assert set(pred.source) == {"base"}
+        assert not pred.fallback.any()
         np.testing.assert_array_equal(pred.labels, harden(vals[:, 0], 0.5))
 
     def test_sources_partition_the_samples(self, rng):
         m = make_matrix(rng.uniform(0, 1, size=(200, 3)), names=("B", "A1", "A2"))
         pred = hybrid_predict(HybridConfig("B", ("A1", "A2"), "sum", 0.8), m)
-        n_base = sum(1 for s in pred.source if s == "base")
-        n_aux = sum(1 for s in pred.source if s == "aux")
-        assert n_base + n_aux == 200
-        assert set(pred.source) <= {"base", "aux"}
+        assert pred.fallback.dtype == bool and pred.fallback.shape == (200,)
+        base = m.values[:, 0]
+        np.testing.assert_array_equal(pred.fallback, np.maximum(base, 1 - base) < 0.8)
 
     def test_fallback_volume_monotone_in_theta(self, rng):
         m = make_matrix(rng.uniform(0, 1, size=(300, 3)), names=("B", "A1", "A2"))
