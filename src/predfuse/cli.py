@@ -53,6 +53,14 @@ def _grid(text: str) -> list[float]:
     return [min(round(lo + i * step, 10), hi) for i in range(count)]
 
 
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--l2", type=float, default=TrainConfig.l2)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="predfuse",
@@ -75,11 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preds", nargs="+", required=True,
                    help="prediction CSVs, one per model (names from file stems)")
     p.add_argument("--labels", required=True)
-    p.add_argument("--l2", type=float, default=0.039)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    _add_train_flags(p)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True, help="weights JSON path")
 
@@ -121,17 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="cross-validation harness")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--repeats", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", required=True,
                    choices=("nn",) + RULE_KINDS + ("hybrid",))
     p.add_argument("--train-preds", nargs="+", required=True)
     p.add_argument("--train-labels", required=True)
     p.add_argument("--test-preds", nargs="+", required=True)
     p.add_argument("--test-labels", required=True)
-    p.add_argument("--l2", type=float, default=0.039)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=32)
+    _add_train_flags(p)  # its --seed also seeds the fold split
     p.add_argument("--hybrid-base")
     p.add_argument("--hybrid-aux", nargs="+")
     p.add_argument("--rule", default="sum", choices=RULE_KINDS)

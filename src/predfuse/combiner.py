@@ -9,7 +9,8 @@ every step and recording whether any projection actually clipped.
 
 :func:`predict` is the forward kernel; the scalar helpers :func:`raw_score`
 and :func:`forward` are one-row views of it.  :func:`gradient` and every
-training step share one private gradient kernel.
+step of the package's one training loop, which also fits the toy text model,
+share one private gradient kernel; :class:`TrainConfig` owns its settings.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class CombinerWeights:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for the combiner trainer."""
+    """Hyperparameters of the minibatch-ADAM trainer."""
 
     learning_rate: float = 0.001
     epochs: int = 200
@@ -136,7 +137,7 @@ def _bce(yhat: np.ndarray, u: np.ndarray) -> float:
 
 
 def loss(weights: CombinerWeights, matrix: PredictionMatrix,
-         labels: LabelVector, l2: float = 0.039) -> float:
+         labels: LabelVector, l2: float = TrainConfig.l2) -> float:
     """Mean binary cross-entropy of forward against labels, plus l2*sum(w^2)."""
     x, u = _training_arrays(matrix.select(weights.model_names), labels)
     yhat = sigmoid(x @ weights.w - weights.b)
@@ -144,7 +145,7 @@ def loss(weights: CombinerWeights, matrix: PredictionMatrix,
 
 
 def gradient(weights: CombinerWeights, matrix: PredictionMatrix,
-             labels: LabelVector, l2: float = 0.039) -> np.ndarray:
+             labels: LabelVector, l2: float = TrainConfig.l2) -> np.ndarray:
     """Analytic gradient of :func:`loss`, length K+1: d/dw_1..K then d/db."""
     x, u = _training_arrays(matrix.select(weights.model_names), labels)
     return _gradient(weights.w, weights.b, x, u, float(l2))
@@ -181,15 +182,22 @@ def train(matrix: PredictionMatrix, labels: LabelVector,
     if n < k + 1:
         raise ValidationError(f"need at least K+1={k + 1} samples, got {n}")
     degenerate = bool((u == u[0]).all())
-
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     # Start from the uninformative point: equal weights, shift at the centre
     # of the initial score range, so the initial forward is ~0.5.
-    w = np.full(k, 1.0 / k)
-    b = 0.5
+    w, b, clipped = _fit(x, u, np.full(k, 1.0 / k), 0.5, cfg, 0.0, callback)
+    weights = CombinerWeights(matrix.model_names, w, b, t)
+    return TrainResult(weights=weights, config=cfg, clipped_any=clipped,
+                       degenerate_labels=degenerate)
+
+
+def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float,
+         cfg: TrainConfig, floor: float, callback) -> tuple[np.ndarray, float, bool]:
+    """Minibatch ADAM from (w, b) on the :func:`loss` objective; weights below
+    ``floor`` are projected onto it after every step.  Returns (w, b, clipped)."""
+    n, k = x.shape
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     opt = Adam(k + 1, lr=cfg.learning_rate)
     clipped = False
-    step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
         for start in range(0, n, cfg.batch_size):
@@ -197,13 +205,9 @@ def train(matrix: PredictionMatrix, labels: LabelVector,
             grad = _gradient(w, b, x[idx], u[idx], cfg.l2)
             params = opt.step(np.append(w, b), grad)
             w, b = params[:k], float(params[k])
-            if (w < 0).any():
+            if (w < floor).any():
                 clipped = True
-                w = np.maximum(w, 0.0)
-            step += 1
+                w = np.maximum(w, floor)
             if callback is not None:
-                callback(step, w, b)
-    weights = CombinerWeights(matrix.model_names, w, b, t)
-    return TrainResult(weights=weights, config=cfg, clipped_any=clipped,
-                       degenerate_labels=degenerate)
-
+                callback(opt.t, w, b)
+    return w, b, clipped

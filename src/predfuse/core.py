@@ -110,7 +110,7 @@ class LabelVector:
 
     def restrict(self, ids) -> "LabelVector":
         """Sub-vector with the given sample ids, in the given order."""
-        ids = tuple(str(i) for i in ids)
+        ids = _as_ids(ids)
         rows = _rows_of(self.ids, ids, "labels have no sample id")
         return LabelVector(ids, self.values[rows])
 

@@ -20,7 +20,8 @@ from .bounds import BoundReport, weight_sum_bounds
 from .combiner import TrainConfig, predict, train
 from .core import LabelVector, PredictionMatrix, accuracy, check_seed
 from .errors import ValidationError
-from .hybrid import HybridConfig, hybrid_predict, theta_sweep
+from .hybrid import (HybridConfig, _check_models, _check_theta, hybrid_predict,
+                     theta_sweep)
 from .rules import apply_rule, check_rule_kind
 
 __all__ = ["FoldSplit", "RunPlan", "RunRecord", "EvalReport",
@@ -121,6 +122,10 @@ class HybridMethod:
     aux: tuple[str, ...]
     rule: str = "sum"
     grid: tuple[float, ...] = ()  # empty: theta_sweep's default grid
+
+    def __post_init__(self):
+        _check_models(self.base, self.aux, self.rule)
+        object.__setattr__(self, "grid", tuple(_check_theta(g) for g in self.grid))
 
 
 @dataclass(frozen=True)

@@ -32,21 +32,24 @@ class HybridConfig:
     theta: float = 0.91
 
     def __post_init__(self):
-        object.__setattr__(self, "base", str(self.base))
-        aux = tuple(str(a) for a in self.aux)
-        if not aux:
-            raise ValidationError("auxiliary model set is empty")
-        if len(set(aux)) != len(aux):
-            raise ValidationError("auxiliary model names must be unique")
-        if self.base in aux:
-            raise ValidationError(f"base model {self.base!r} also listed as auxiliary")
+        base, aux = _check_models(self.base, self.aux, self.rule)
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "aux", aux)
-        check_rule_kind(self.rule)
-        if self.rule == "maj" and len(aux) % 2 == 0:
-            raise ConstraintError(
-                f"majority vote needs an odd auxiliary count, got {len(aux)}"
-            )
         object.__setattr__(self, "theta", _check_theta(self.theta))
+
+
+def _check_models(base, aux, rule: str) -> tuple[str, tuple[str, ...]]:
+    """Base name and auxiliary set of a hybrid, checked against its rule."""
+    base, aux = str(base), tuple(str(a) for a in aux)
+    if not aux:
+        raise ValidationError("auxiliary model set is empty")
+    if len(set(aux)) != len(aux):
+        raise ValidationError("auxiliary model names must be unique")
+    if base in aux:
+        raise ValidationError(f"base model {base!r} also listed as auxiliary")
+    if check_rule_kind(rule) == "maj" and len(aux) % 2 == 0:
+        raise ConstraintError(f"majority vote needs an odd auxiliary count, got {len(aux)}")
+    return base, aux
 
 
 def _check_theta(theta) -> float:
@@ -128,12 +131,11 @@ def theta_sweep(base: str, aux, rule: str, matrix: PredictionMatrix,
     """
     if grid is None:
         grid = default_theta_grid()
-    grid = [float(g) for g in grid]
+    grid = [_check_theta(g) for g in grid]
     if not grid:
         raise ValidationError("theta grid is empty")
-    for g in grid:
-        _check_theta(g)
-    _, conf, base_lab, _, aux_lab = _decision_arrays(base, tuple(aux), rule, matrix)
+    base, aux = _check_models(base, aux, rule)
+    _, conf, base_lab, _, aux_lab = _decision_arrays(base, aux, rule, matrix)
     u = labels.align_to(matrix.ids)
     rows = []
     best_theta, best_acc = None, -1.0

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +31,16 @@ __all__ = ["load_prediction_file", "save_prediction_file", "load_label_file",
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place,
+    with the mode ``open`` would give (0o666 less the umask, not 0o600)."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)  # the only way to read it; restored at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -156,26 +161,21 @@ def save_matrix_files(out_dir, matrix: PredictionMatrix) -> list[Path]:
 
 # --- combiner weights (JSON) ----------------------------------------------
 
-_TC_FIELDS = ("learning_rate", "epochs", "batch_size", "l2", "seed",
-              "shuffle_each_epoch")
-
-
 def _fmt17(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+# train_config fields by declared type: (reader, JSON writer).
+_TC_CODECS = {"float": (float, _fmt17), "int": (int, str),
+              "bool": (bool, lambda v: "true" if v else "false")}
 
 
 def save_weights(path, result: TrainResult) -> None:
     """Persist a training result; field order is fixed, reals carry 17
     significant digits."""
     w, cfg = result.weights, result.config
-    tc = ", ".join([
-        f'"learning_rate": {_fmt17(cfg.learning_rate)}',
-        f'"epochs": {cfg.epochs}',
-        f'"batch_size": {cfg.batch_size}',
-        f'"l2": {_fmt17(cfg.l2)}',
-        f'"seed": {cfg.seed}',
-        f'"shuffle_each_epoch": {"true" if cfg.shuffle_each_epoch else "false"}',
-    ])
+    tc = ", ".join(f'"{f.name}": {_TC_CODECS[f.type][1](getattr(cfg, f.name))}'
+                   for f in fields(TrainConfig))
     doc = ", ".join([
         f'"model_names": {json.dumps(list(w.model_names))}',
         f'"weights": [{", ".join(_fmt17(x) for x in w.w)}]',
@@ -209,17 +209,15 @@ def load_weights(path) -> TrainResult:
         raise ValidationError(f"{path}: model_names and weights must be "
                               "lists of equal length")
     tc = doc["train_config"]
-    if not isinstance(tc, dict) or set(tc) != set(_TC_FIELDS):
+    tc_fields = fields(TrainConfig)
+    if not isinstance(tc, dict) or set(tc) != {f.name for f in tc_fields}:
         raise ValidationError(f"{path}: train_config must carry exactly "
-                              f"{list(_TC_FIELDS)}")
+                              f"{[f.name for f in tc_fields]}")
     try:
         weights = CombinerWeights(tuple(names), np.asarray(wvals, dtype=float),
                                   float(doc["b"]), float(doc["t"]))
-        cfg = TrainConfig(learning_rate=float(tc["learning_rate"]),
-                          epochs=int(tc["epochs"]),
-                          batch_size=int(tc["batch_size"]),
-                          l2=float(tc["l2"]), seed=int(tc["seed"]),
-                          shuffle_each_epoch=bool(tc["shuffle_each_epoch"]))
+        cfg = TrainConfig(**{f.name: _TC_CODECS[f.type][0](tc[f.name])
+                             for f in tc_fields})
     except ConstraintError:
         raise
     except (TypeError, ValueError) as exc:

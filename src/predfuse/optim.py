@@ -1,8 +1,8 @@
 """Minimal ADAM optimizer over a flat numpy parameter vector.
 
-One deliberately small implementation shared by every trainer in the
-package, so the gradient checks exercised against one trainer also cover
-the optimizer used by the others.
+One deliberately small implementation, built only by the package's one
+training loop (``combiner._fit``), which fits both the prediction combiner
+and the toy text model.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 class Adam:
     """ADAM with bias-corrected first/second moments."""
 
-    def __init__(self, n_params: int, lr: float = 0.001):
+    def __init__(self, n_params: int, lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)

@@ -2,8 +2,9 @@
 
 A deliberately small stand-in so the pipeline can start from raw text at
 desk scale: lowercase tokens, multi-hot presence encoding over a top-V
-vocabulary, and a logistic layer trained with the same ADAM core as the
-prediction combiner (unconstrained weights, no L2 by default).
+vocabulary, and a logistic layer trained through the prediction combiner's
+minibatch-ADAM loop, kernels and hyperparameter checks (``TrainConfig``),
+with unconstrained weights, no L2, and bias = -b in sigmoid(x @ w - b).
 
 Corpus format: one document per line; labels in a CSV aligned by 0-based
 line number.
@@ -17,16 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .combiner import TrainConfig, _bce, _fit, _gradient
 from .core import sigmoid
 from .errors import ValidationError
-from .optim import Adam
 
 __all__ = ["Vocabulary", "LogisticModel", "tokenize", "build_vocab", "encode",
            "train_logistic", "predict_proba", "logistic_loss",
            "logistic_gradient", "load_corpus"]
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
-_LOG_EPS = 1e-12
 
 
 def tokenize(doc: str) -> list[str]:
@@ -82,20 +82,20 @@ def predict_proba(model: LogisticModel, doc: str) -> float:
 def logistic_loss(w: np.ndarray, bias: float, x: np.ndarray,
                   u: np.ndarray) -> float:
     """Mean binary cross-entropy of sigmoid(x @ w + bias) against u."""
-    yhat = np.clip(sigmoid(x @ w + bias), _LOG_EPS, 1.0 - _LOG_EPS)
-    return float(-(u * np.log(yhat) + (1.0 - u) * np.log(1.0 - yhat)).mean())
+    return _bce(sigmoid(x @ w + bias), u)
 
 
 def logistic_gradient(w: np.ndarray, bias: float, x: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`logistic_loss`, weights first then bias."""
-    resid = sigmoid(x @ w + bias) - u
-    return np.append(x.T @ resid / len(u), resid.mean())
+    grad = _gradient(w, -bias, x, u, 0.0)
+    grad[-1] = -grad[-1]
+    return grad
 
 
-def train_logistic(docs, labels, v_size: int, epochs: int = 200,
+def train_logistic(docs, labels, v_size: int, epochs: int = TrainConfig.epochs,
                    lr: float = 0.05, seed: int = 0,
-                   batch_size: int = 32) -> LogisticModel:
+                   batch_size: int = TrainConfig.batch_size) -> LogisticModel:
     """Fit the toy classifier; deterministic given the shuffle seed."""
     docs = list(docs)
     u = np.asarray(list(labels), dtype=np.float64)
@@ -103,24 +103,13 @@ def train_logistic(docs, labels, v_size: int, epochs: int = 200,
         raise ValidationError("need equally many non-empty docs and labels")
     if not np.isin(u, (0, 1)).all():
         raise ValidationError("labels must be 0 or 1")
-    if epochs < 1 or lr <= 0 or batch_size < 1:
-        raise ValidationError("hyperparameters must be positive")
+    cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch_size,
+                      l2=0.0, seed=seed)
     vocab = build_vocab(docs, v_size)
     x = np.stack([encode(d, vocab) for d in docs])
-    n, v = x.shape
-    w = np.zeros(v)
-    bias = 0.0
-    opt = Adam(v + 1, lr=lr)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            grad = logistic_gradient(w, bias, x[idx], u[idx])
-            params = opt.step(np.append(w, bias), grad)
-            w, bias = params[:v], float(params[v])
+    w, b, _ = _fit(x, u, np.zeros(vocab.size), 0.0, cfg, -np.inf, None)
     w.setflags(write=False)
-    return LogisticModel(weights=w, bias=bias, vocab=vocab)
+    return LogisticModel(weights=w, bias=-b, vocab=vocab)
 
 
 def load_corpus(path) -> list[str]:

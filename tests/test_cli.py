@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from predfuse import evaluate
 from predfuse.cli import _grid, main
 from predfuse.evaluate import parse_report
 from predfuse.hybrid import default_theta_grid
@@ -165,6 +166,14 @@ class TestSweepTheta:
         assert lines[0] == "theta\taccuracy\tfallback_fraction"
         assert len(lines) == 50
 
+    def test_base_listed_as_aux_rejected(self, suite, tmp_path, capsys):
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep-theta", "--preds", *suite["train_preds"],
+                     "--labels", suite["train_labels"], "--base", "M3",
+                     "--aux", "M3", "M2", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "'M3' also listed as auxiliary" in capsys.readouterr().err
+
 
 class TestGrid:
     """--grid lo:hi:step never passes hi, and keeps hi when it is on the grid."""
@@ -286,6 +295,17 @@ class TestCv:
                          "--test-labels", suite["test_labels"],
                          "--out", str(out)]) == 0
         assert read(outs[0]) == read(outs[1])
+
+    def test_hybrid_base_listed_as_aux_rejected_before_folds(
+            self, suite, tmp_path, capsys, monkeypatch):
+        def no_split(*args):
+            raise AssertionError("folds were split")
+        monkeypatch.setattr(evaluate, "kfold_split", no_split)
+        out = tmp_path / "report.tsv"
+        assert main(_cv_args(suite, out, "--method", "hybrid", "--hybrid-base",
+                             "M3", "--hybrid-aux", "M3", "M2")) == 2
+        assert not out.exists()
+        assert "'M3' also listed as auxiliary" in capsys.readouterr().err
 
     def test_rule_cv_summary_only(self, suite, tmp_path):
         out = tmp_path / "report.tsv"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -241,6 +242,24 @@ class TestTrain:
                        callback=lambda step, w, b: seen.append(w.min()))
         assert min(seen) >= 0.0
         assert (result.weights.w >= 0).all()
+        assert result.clipped_any
+
+    def test_pinned_weights_and_shift(self):
+        # Pinned bits (numpy's bundled OpenBLAS on x86-64; another BLAS may
+        # round differently): any drift in the training loop, the gradient
+        # kernel or ADAM changes them.  C is anti-correlated with the labels,
+        # so the projection clips.
+        ids = tuple(f"s{i}" for i in range(12))
+        u = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1]
+        a = [0.9, 0.2, 0.7, 0.8, 0.3, 0.1, 0.6, 0.4, 0.9, 0.7, 0.2, 0.8]
+        b = [0.5 + (0.3 if x else -0.2) * (i % 3 - 1) for i, x in enumerate(u)]
+        m = make_matrix(np.column_stack([a, b, [1.0 - x for x in a]]), ids=ids,
+                        names=("A", "B", "C"))
+        result = train(m, make_labels(u, ids=ids),
+                       TrainConfig(learning_rate=0.05, epochs=15, batch_size=5, seed=2))
+        assert hashlib.sha256(result.weights.w.tobytes()).hexdigest() == (
+            "599e3aa990640054c044f9040991bc96ed915cfe895a72c840995f17fd94a0c8")
+        assert result.weights.b.hex() == "0x1.189734678a181p-2"
         assert result.clipped_any
 
     def test_label_permutation_equivariance(self, rng):

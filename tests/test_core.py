@@ -258,6 +258,12 @@ class TestContainers:
         with pytest.raises(ValidationError):
             m.select(["M9"])
 
+    def test_restrict_to_no_ids_rejected(self):
+        with pytest.raises(ValidationError, match="empty"):
+            LabelVector(("a", "b"), [0, 1]).restrict([])
+        with pytest.raises(ValidationError, match="empty"):
+            make_matrix([[0.5, 0.6]]).restrict([])
+
     def test_restrict_unknown_id(self):
         m = make_matrix([[0.5, 0.6]])
         with pytest.raises(AlignmentError):

@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from predfuse import (HybridMethod, NNMethod, RuleMethod, RunPlan,
-                      TrainConfig, ValidationError, accuracy, cross_validate,
-                      derive_seed, kfold_split, mean_stdev, parse_report,
-                      predict, report_render, train)
+from predfuse import (ConstraintError, HybridMethod, NNMethod, RuleMethod,
+                      RunPlan, TrainConfig, ValidationError, accuracy,
+                      cross_validate, derive_seed, kfold_split, mean_stdev,
+                      parse_report, predict, report_render, train)
 from predfuse.synth import SyntheticSpec, generate
 
 FAST_NN = NNMethod(config=TrainConfig(epochs=3, seed=0))
@@ -104,6 +104,16 @@ class TestCrossValidate:
         report = cross_validate(plan, train_m, train_u, test_m, test_u, method)
         assert len(report.records) == 4
         assert all("theta=" in r.detail for r in report.records)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"aux": ("M3", "M2")}, ValidationError),
+        ({"aux": ("M1", "M1")}, ValidationError),
+        ({"rule": "maj"}, ConstraintError),
+        ({"grid": (0.4, 0.9)}, ConstraintError),
+    ])
+    def test_hybrid_method_validated_at_construction(self, kwargs, error):
+        with pytest.raises(error):
+            HybridMethod(**{"base": "M3", "aux": ("M1", "M2"), **kwargs})
 
     def test_scheduling_independence(self):
         # a single (fold, repeat) run recomputed in isolation matches the

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -185,6 +187,17 @@ class TestAtomicWrites:
             atomic_write_text(target, "hello")
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_mode_follows_umask(self, tmp_path):
+        target = tmp_path / "out.txt"
+        text = "id,prob\nx,0.5\n"
+        old = os.umask(0o022)
+        try:
+            atomic_write_text(target, text)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        assert target.read_bytes() == text.encode("utf-8")
 
     def test_no_temp_residue_on_success(self, tmp_path):
         target = tmp_path / "out.txt"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,29 @@ class TestTrain:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValidationError):
             train_logistic(["a"], [1, 0], v_size=2)
+
+    def test_pinned_weights_and_bias(self):
+        # Pinned bits (numpy's bundled OpenBLAS on x86-64; another BLAS may
+        # round differently) of the shared training loop on the text path.
+        docs = ["good film", "bad film", "good plot twist", "plot was bad",
+                "good good", "awful bad acting"] * 3
+        model = train_logistic(docs, [1, 0, 1, 0, 1, 0] * 3, v_size=8,
+                               epochs=25, lr=0.1, seed=3, batch_size=4)
+        assert hashlib.sha256(model.weights.tobytes()).hexdigest() == (
+            "7147226ab6d24f827cd77b9540ea0f8c56c541b87a6e17434803e724c2323c75")
+        assert model.bias.hex() == "0x1.1dfee0c450112p-1"
+        assert not model.weights.flags.writeable
+
+    @pytest.mark.parametrize("kwargs, culprit", [
+        ({"seed": -1}, "seed"),
+        ({"lr": float("nan")}, "learning_rate"),
+        ({"lr": 0.0}, "learning_rate"),
+        ({"epochs": 0}, "epochs"),
+        ({"batch_size": 0}, "batch_size"),
+    ])
+    def test_bad_hyperparameter_names_the_parameter(self, kwargs, culprit):
+        with pytest.raises(ValidationError, match=culprit):
+            train_logistic(["a b", "b c"], [1, 0], v_size=3, **kwargs)
 
 
 class TestLogisticGradient:
