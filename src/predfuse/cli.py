@@ -3,8 +3,9 @@
 Subcommands: synth, train-nn, combine, eval, sweep-theta, check-bound, cv.
 Exit codes: 0 success, 2 input validation error, 3 constraint violation
 (even-K majority vote, theta out of range, negative weight), 4 I/O error.
-Outputs go to --out when given, else stdout; file writes are atomic and all
-commands are deterministic given identical flags and seeds.
+Every command checks its flags before it reads any file.  Outputs go to
+--out when given, else stdout; file writes are atomic and all commands are
+deterministic given identical flags and seeds.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import io_files
 from .combiner import TrainConfig, predict, train
-from .core import ProbSeries, accuracy
+from .core import ProbSeries, accuracy, check_threshold
 from .errors import ConstraintError, ValidationError
 from .evaluate import (HybridMethod, NNMethod, RuleMethod, RunPlan,
                        cross_validate, report_render)
@@ -170,20 +171,21 @@ def _hybrid_models(args) -> tuple[str, tuple[str, ...]]:
 
 
 def _cmd_train_nn(args) -> None:
+    cfg, t = _train_config(args), check_threshold(args.threshold)
     matrix = io_files.load_matrix(args.preds)
     labels = io_files.load_label_file(args.labels)
-    result = train(matrix, labels, _train_config(args), t=args.threshold)
-    io_files.save_weights(args.out, result)
+    io_files.save_weights(args.out, train(matrix, labels, cfg, t=t))
 
 
 def _cmd_combine(args) -> None:
+    if args.method == "nn" and not args.weights:
+        raise ValidationError("--method nn needs --weights")
+    if args.method == "hybrid":
+        cfg = HybridConfig(*_hybrid_models(args), args.rule, args.theta)
     matrix = io_files.load_matrix(args.preds)
     if args.method == "nn":
-        if not args.weights:
-            raise ValidationError("--method nn needs --weights")
         series = predict(io_files.load_weights(args.weights).weights, matrix)
     elif args.method == "hybrid":
-        cfg = HybridConfig(*_hybrid_models(args), args.rule, args.theta)
         pred = hybrid_predict(cfg, matrix)
         series = ProbSeries(pred.ids, pred.probs)
     else:
@@ -192,25 +194,25 @@ def _cmd_combine(args) -> None:
 
 
 def _cmd_eval(args) -> None:
+    t = check_threshold(args.threshold)
     labels = io_files.load_label_file(args.labels)
-    lines = ["name\taccuracy\tpercent"]
     if args.combined:
-        series = io_files.load_prediction_file(args.combined)
-        acc = accuracy(series, labels, args.threshold)
-        lines.append(f"combined\t{acc!r}\t{acc * 100.0:.2f}")
+        matrix = io_files.load_matrix([args.combined], names=["combined"])
     else:
         matrix = io_files.load_matrix(args.preds)
-        for name in matrix.model_names:
-            acc = accuracy(matrix.column(name), labels, args.threshold)
-            lines.append(f"{name}\t{acc!r}\t{acc * 100.0:.2f}")
+    lines = ["name\taccuracy\tpercent"]
+    for name in matrix.model_names:
+        acc = accuracy(matrix.column(name), labels, t)
+        lines.append(f"{name}\t{acc!r}\t{acc * 100.0:.2f}")
     _emit("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_sweep_theta(args) -> None:
+    method = HybridMethod(args.base, tuple(args.aux), args.rule, tuple(args.grid or ()))
     matrix = io_files.load_matrix(args.preds)
     labels = io_files.load_label_file(args.labels)
-    sweep = theta_sweep(args.base, tuple(args.aux), args.rule, matrix,
-                        labels, args.grid)
+    sweep = theta_sweep(method.base, method.aux, method.rule, matrix, labels,
+                        method.grid or None)
     _emit(sweep.to_tsv(), args.out)
 
 
@@ -228,10 +230,6 @@ def _cmd_check_bound(args) -> None:
 
 
 def _cmd_cv(args) -> None:
-    train_m = io_files.load_matrix(args.train_preds)
-    train_u = io_files.load_label_file(args.train_labels)
-    test_m = io_files.load_matrix(args.test_preds)
-    test_u = io_files.load_label_file(args.test_labels)
     if args.method == "nn":
         method = NNMethod(config=_train_config(args))
     elif args.method == "hybrid":
@@ -241,6 +239,10 @@ def _cmd_cv(args) -> None:
         method = RuleMethod(args.method)
     plan = RunPlan(n_folds=args.folds, repeats_per_fold=args.repeats,
                    seed=args.seed)
+    train_m = io_files.load_matrix(args.train_preds)
+    train_u = io_files.load_label_file(args.train_labels)
+    test_m = io_files.load_matrix(args.test_preds)
+    test_u = io_files.load_label_file(args.test_labels)
     report = cross_validate(plan, train_m, train_u, test_m, test_u, method)
     _emit(report_render(report, include_runs=not args.summary_only), args.out)
 

@@ -143,9 +143,9 @@ def _align_values(src_ids, src_values, target_ids, what: str) -> np.ndarray:
         return src_values
     order = _rows_of(src_ids, target_ids, f"{what} are missing sample id")
     if len(target_ids) != len(src_ids):
-        raise AlignmentError(
-            f"{what} cover {len(src_ids)} samples, expected {len(target_ids)}"
-        )
+        wanted = set(target_ids)
+        extra = next(sid for sid in src_ids if sid not in wanted)
+        raise AlignmentError(f"{what} have extra sample id {extra!r}")
     return src_values[order]
 
 
@@ -181,13 +181,22 @@ class PredictionMatrix:
 
     @classmethod
     def from_columns(cls, columns: list[tuple[str, ProbSeries]]) -> "PredictionMatrix":
-        """Join named series on their common id set (order of the first column)."""
+        """Join named series on their common id set (order of the first column).
+
+        This is the package's one join of prediction columns: every series
+        must carry exactly the first one's ids, in any order, and an
+        AlignmentError names the model and an id that one side lacks.
+        """
         if not columns:
             raise ValidationError("no prediction columns given")
-        ids = columns[0][1].ids
-        names = [name for name, _ in columns]
-        cols = [series.align_to(ids) for _, series in columns]
-        return cls(ids, tuple(names), np.column_stack(cols))
+        first, base = columns[0]
+        cols = []
+        for name, series in columns:
+            try:
+                cols.append(series.align_to(base.ids))
+            except AlignmentError as exc:
+                raise AlignmentError(f"model {name!r} vs {first!r}: {exc}") from None
+        return cls(base.ids, tuple(name for name, _ in columns), np.column_stack(cols))
 
     @property
     def n_samples(self) -> int:
@@ -234,12 +243,10 @@ def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValidationError("sigmoid input must be finite")
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))  # in [0, 1], so nothing overflows
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)  # 1/(1+e^-x), or e^x/(1+e^x)
     return float(out) if out.ndim == 0 else out
+
 
 def shifted_sigmoid(score, b: float):
     """Sigmoid with its argument re-centred: sigmoid(score - b).

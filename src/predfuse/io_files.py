@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
+import re
 import tempfile
+from contextlib import contextmanager
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .combiner import CombinerWeights, TrainConfig, TrainResult
 from .core import LabelVector, PredictionMatrix, ProbSeries
-from .errors import ConstraintError, ValidationError
+from .errors import ValidationError
 from .evaluate import EvalReport, parse_report, report_render
 
 __all__ = ["load_prediction_file", "save_prediction_file", "load_label_file",
@@ -33,11 +35,19 @@ __all__ = ["load_prediction_file", "save_prediction_file", "load_label_file",
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place,
     with the mode ``open`` would give (0o666 less the umask, not 0o600)."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
+@contextmanager
+def _atomic_open(path):
+    """A text file that replaces ``path`` when the block ends, or is deleted
+    if the block raises."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         umask = os.umask(0)  # the only way to read it; restored at once
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -48,74 +58,105 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _read_rows(path, header: tuple[str, str]):
-    with open(path, encoding="utf-8", newline="") as fh:
+# --- id-keyed CSV files: the one reader and the one writer ----------------
+
+def _read_csv(path, column: str, parse, noun: str) -> tuple[list[str], list]:
+    """Ids and parsed values of an ``id,<column>`` CSV.
+
+    ``parse`` turns one raw value into a number or raises ValueError with
+    the reason; a bad row is reported as ``file:line: reason``.  A UTF-8 BOM
+    before the header is skipped.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            first = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if first != list(header):
-            raise ValidationError(
-                f"{path}: header must be exactly {','.join(header)!r}, "
-                f"got {','.join(first)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            yield lineno, row[0], row[1]
+            first = next(reader, None)
+            if first is None:
+                raise ValidationError(f"{path}: empty file")
+            if first != ["id", column]:
+                raise ValidationError(f"{path}: header must be exactly "
+                                      f"'id,{column}', got {','.join(first)!r}")
+            ids, values, seen = [], [], set()
+            for row in reader:
+                if len(row) != 2:
+                    if not row:
+                        continue
+                    raise ValueError(f"expected 2 fields, got {len(row)}")
+                sid, raw = row
+                if not sid:
+                    raise ValueError("empty sample id")
+                if sid in seen:
+                    raise ValueError(f"duplicate id {sid!r}")
+                seen.add(sid)
+                ids.append(sid)
+                values.append(parse(raw))
+        except ValidationError:
+            raise
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not valid UTF-8") from None
+        except (ValueError, csv.Error) as exc:
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+    if not ids:
+        raise ValidationError(f"{path}: no {noun} rows")
+    return ids, values
+
+
+def _write_csv(path, column: str, ids, cells) -> None:
+    """Write an ``id,<column>`` CSV a few thousand rows at a time, so no copy
+    of the whole text is held."""
+    if any(map(_QUOTED.search, ids)):  # else skip a per-row call
+        ids = map(_id_field, ids)
+    rows = (f"{sid},{cell}\n" for sid, cell in zip(ids, cells))
+    with _atomic_open(path) as fh:
+        fh.write(f"id,{column}\n")
+        while chunk := "".join(islice(rows, 4096)):
+            fh.write(chunk)
+
+
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _id_field(sid: str) -> str:
+    """An id as ``_read_csv`` reads it back: quoted when it holds ``,``,
+    ``"``, ``\\r`` or ``\\n``.  (``csv.writer`` with a ``\\n`` line
+    terminator would leave a lone ``\\r`` bare, which the reader splits on.)"""
+    return '"' + sid.replace('"', '""') + '"' if _QUOTED.search(sid) else sid
+
+
+def _prob(raw: str) -> float:
+    try:
+        p = float(raw)
+    except ValueError:
+        raise ValueError(f"{raw!r} is not a number") from None
+    if not 0.0 <= p <= 1.0:  # NaN fails too
+        raise ValueError(f"probability {raw} outside [0, 1]")
+    return p
+
+
+def _label(raw: str) -> int:
+    if raw not in ("0", "1"):
+        raise ValueError(f"label must be 0 or 1, got {raw!r}")
+    return int(raw)
 
 
 def load_prediction_file(path) -> ProbSeries:
     """Read an ``id,prob`` CSV; errors name the file, line, and value."""
-    ids, values = [], []
-    seen = set()
-    for lineno, sid, raw in _read_rows(path, ("id", "prob")):
-        if sid in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate id {sid!r}")
-        seen.add(sid)
-        try:
-            p = float(raw)
-        except ValueError:
-            raise ValidationError(f"{path}:{lineno}: {raw!r} is not a number") from None
-        if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-            raise ValidationError(f"{path}:{lineno}: probability {raw} outside [0, 1]")
-        ids.append(sid)
-        values.append(p)
-    if not ids:
-        raise ValidationError(f"{path}: no prediction rows")
+    ids, values = _read_csv(path, "prob", _prob, "prediction")
     return ProbSeries(tuple(ids), np.asarray(values))
 
 
 def save_prediction_file(path, series: ProbSeries) -> None:
-    lines = ["id,prob"]
-    lines += [f"{sid},{float(val)!r}" for sid, val in zip(series.ids, series.values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "prob", series.ids, map(repr, map(float, series.values)))
 
 
 def load_label_file(path) -> LabelVector:
     """Read an ``id,label`` CSV with labels in {0, 1}."""
-    ids, values = [], []
-    seen = set()
-    for lineno, sid, raw in _read_rows(path, ("id", "label")):
-        if sid in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate id {sid!r}")
-        seen.add(sid)
-        if raw not in ("0", "1"):
-            raise ValidationError(f"{path}:{lineno}: label must be 0 or 1, got {raw!r}")
-        ids.append(sid)
-        values.append(int(raw))
-    if not ids:
-        raise ValidationError(f"{path}: no label rows")
+    ids, values = _read_csv(path, "label", _label, "label")
     return LabelVector(tuple(ids), np.asarray(values))
 
 
 def save_label_file(path, labels: LabelVector) -> None:
-    lines = ["id,label"]
-    lines += [f"{sid},{val}" for sid, val in zip(labels.ids, labels.values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "label", labels.ids, labels.values)
 
 
 def load_matrix(paths, names=None) -> PredictionMatrix:
@@ -132,19 +173,8 @@ def load_matrix(paths, names=None) -> PredictionMatrix:
     names = [str(n) for n in names]
     if len(names) != len(paths):
         raise ValidationError(f"{len(paths)} files but {len(names)} model names")
-    columns = [(name, load_prediction_file(path))
-               for name, path in zip(names, paths)]
-    base_name, base = columns[0]
-    base_set = set(base.ids)
-    for name, series in columns[1:]:
-        other = set(series.ids)
-        if other != base_set:
-            missing = sorted(base_set - other) or sorted(other - base_set)
-            raise ValidationError(
-                f"prediction files disagree on sample ids: {name!r} vs "
-                f"{base_name!r}, first mismatch id {missing[0]!r}"
-            )
-    return PredictionMatrix.from_columns(columns)
+    return PredictionMatrix.from_columns(
+        [(name, load_prediction_file(path)) for name, path in zip(names, paths)])
 
 
 def save_matrix_files(out_dir, matrix: PredictionMatrix) -> list[Path]:
@@ -168,6 +198,21 @@ def _fmt17(x: float) -> str:
 # train_config fields by declared type: (reader, JSON writer).
 _TC_CODECS = {"float": (float, _fmt17), "int": (int, str),
               "bool": (bool, lambda v: "true" if v else "false")}
+
+# JSON value types a field of each declared type accepts: a float field also
+# takes an integer literal, and only a bool field takes true/false.
+_JSON_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,)}
+
+
+def _typed(path, key: str, value, kind: str):
+    """``value`` read as ``kind``; ValidationError names the field otherwise."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValidationError(f"{path}: {key} must be a JSON {kind}, "
+                              f"got {json.dumps(value)}")
+    try:
+        return _TC_CODECS[kind][0](value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValidationError(f"{path}: {key} must be a finite number") from None
 
 
 def save_weights(path, result: TrainResult) -> None:
@@ -194,7 +239,9 @@ def load_weights(path) -> TrainResult:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not valid UTF-8") from None
+    except (ValueError, RecursionError) as exc:  # also: over 4300 digits, too deep
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a JSON object")
@@ -204,8 +251,9 @@ def load_weights(path) -> TrainResult:
             raise ValidationError(f"{path}: missing field {key!r}")
     names = doc["model_names"]
     wvals = doc["weights"]
-    if (not isinstance(names, list) or not isinstance(wvals, list)
-            or len(names) != len(wvals)):
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValidationError(f"{path}: model_names must be a JSON list of strings")
+    if not isinstance(wvals, list) or len(names) != len(wvals):
         raise ValidationError(f"{path}: model_names and weights must be "
                               "lists of equal length")
     tc = doc["train_config"]
@@ -213,17 +261,17 @@ def load_weights(path) -> TrainResult:
     if not isinstance(tc, dict) or set(tc) != {f.name for f in tc_fields}:
         raise ValidationError(f"{path}: train_config must carry exactly "
                               f"{[f.name for f in tc_fields]}")
+    wvals = [_typed(path, "weights", v, "float") for v in wvals]
+    b, t = (_typed(path, key, doc[key], "float") for key in ("b", "t"))
+    tc = {f.name: _typed(path, f"train_config.{f.name}", tc[f.name], f.type)
+          for f in tc_fields}
+    clipped_any = _typed(path, "clipped_any", doc["clipped_any"], "bool")
     try:
-        weights = CombinerWeights(tuple(names), np.asarray(wvals, dtype=float),
-                                  float(doc["b"]), float(doc["t"]))
-        cfg = TrainConfig(**{f.name: _TC_CODECS[f.type][0](tc[f.name])
-                             for f in tc_fields})
-    except ConstraintError:
-        raise
-    except (TypeError, ValueError) as exc:
+        weights = CombinerWeights(tuple(names), np.asarray(wvals, dtype=float), b, t)
+        cfg = TrainConfig(**tc)
+    except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    return TrainResult(weights=weights, config=cfg,
-                       clipped_any=bool(doc["clipped_any"]),
+    return TrainResult(weights=weights, config=cfg, clipped_any=clipped_any,
                        degenerate_labels=False)
 
 

@@ -154,6 +154,99 @@ class TestExitCodes:
                      "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("culprit", ["preds", "labels", "weights"])
+    def test_invalid_utf8_is_validation_error(self, suite, tmp_path, capsys, culprit):
+        weights = tmp_path / "w.json"
+        assert main(["train-nn", "--preds", *suite["train_preds"],
+                     "--labels", suite["train_labels"], "--epochs", "1",
+                     "--out", str(weights)]) == 0
+        bad = tmp_path / f"{culprit}.bad"
+        bad.write_bytes(b"id,prob\n\xff,0.5\n" if culprit != "weights"
+                        else b'{"model_names": ["\xff"]}')
+        preds = [str(bad)] if culprit == "preds" else suite["test_preds"]
+        out = tmp_path / "x.csv"
+        if culprit == "labels":
+            argv = ["eval", "--preds", *preds, "--labels", str(bad)]
+        else:
+            argv = ["combine", "--method", "nn", "--preds", *preds, "--out", str(out),
+                    "--weights", str(bad if culprit == "weights" else weights)]
+        assert main(argv) == 2
+        assert f"{bad}: not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mistyped_weights_field_is_validation_error(self, suite, tmp_path, capsys):
+        weights = tmp_path / "w.json"
+        assert main(["train-nn", "--preds", *suite["train_preds"],
+                     "--labels", suite["train_labels"], "--epochs", "1",
+                     "--out", str(weights)]) == 0
+        doc = json.loads(read(weights))
+        doc["train_config"]["epochs"] = 1.7
+        weights.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["combine", "--method", "nn", "--weights", str(weights),
+                     "--preds", *suite["test_preds"],
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "train_config.epochs must be a JSON int" in capsys.readouterr().err
+
+
+class TestQuotedIds:
+    def test_combine_then_eval_on_a_quoted_id(self, tmp_path, capsys):
+        for name, text in [("M1", 'id,prob\n"a,b",0.25\nc,0.75\n'),
+                           ("M2", 'id,prob\nc,0.5\n"a,b",0.125\n'),
+                           ("labels", 'id,label\n"a,b",0\nc,1\n')]:
+            (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+        out = tmp_path / "c.csv"
+        assert main(["combine", "--method", "avg", "--preds",
+                     str(tmp_path / "M1.csv"), str(tmp_path / "M2.csv"),
+                     "--out", str(out)]) == 0
+        assert read(out).startswith('id,prob\n"a,b",')
+        assert main(["eval", "--combined", str(out),
+                     "--labels", str(tmp_path / "labels.csv")]) == 0
+        assert capsys.readouterr().out == "name\taccuracy\tpercent\ncombined\t1.0\t100.00\n"
+
+
+class TestFlagsBeforeFiles:
+    """A bad flag exits 2 or 3 even when an input file is missing (exit 4)."""
+
+    @pytest.mark.parametrize("argv, code, culprit", [
+        pytest.param(["train-nn", "--lr", "nan", "--labels", "L", "--preds", "P"],
+                     2, "learning_rate", id="train-nn-lr"),
+        pytest.param(["train-nn", "--threshold", "1.5", "--labels", "L", "--preds", "P"],
+                     2, "threshold", id="train-nn-threshold"),
+        pytest.param(["combine", "--method", "hybrid", "--hybrid-base", "M1",
+                      "--hybrid-aux", "M1", "M2", "--preds", "P"],
+                     2, "also listed as auxiliary", id="combine-hybrid-base-in-aux"),
+        pytest.param(["combine", "--method", "hybrid", "--hybrid-base", "M1",
+                      "--hybrid-aux", "M2", "--theta", "0.4", "--preds", "P"],
+                     3, "theta", id="combine-hybrid-theta"),
+        pytest.param(["combine", "--method", "nn", "--preds", "P"],
+                     2, "--weights", id="combine-nn-no-weights"),
+        pytest.param(["eval", "--threshold", "0", "--labels", "L", "--combined", "P"],
+                     2, "threshold", id="eval-threshold"),
+        pytest.param(["sweep-theta", "--base", "M1", "--aux", "M1", "M2",
+                      "--labels", "L", "--preds", "P"],
+                     2, "also listed as auxiliary", id="sweep-theta-base-in-aux"),
+        pytest.param(["sweep-theta", "--base", "M1", "--aux", "M2", "--grid", "0.3:0.6:0.1",
+                      "--labels", "L", "--preds", "P"],
+                     3, "theta", id="sweep-theta-grid"),
+        pytest.param(["cv", "--method", "max", "--folds", "1"],
+                     2, "two folds", id="cv-folds"),
+        pytest.param(["cv", "--method", "nn", "--lr", "nan"],
+                     2, "learning_rate", id="cv-lr"),
+        pytest.param(["cv", "--method", "hybrid", "--hybrid-base", "M1",
+                      "--hybrid-aux", "M1", "M2"],
+                     2, "also listed as auxiliary", id="cv-hybrid-base-in-aux"),
+    ])
+    def test_flag_error_wins_over_missing_file(self, tmp_path, capsys, argv, code, culprit):
+        missing = str(tmp_path / "missing.csv")
+        argv = [missing if a in ("P", "L") else a for a in argv]
+        if argv[0] == "cv":
+            argv += ["--train-preds", missing, "--train-labels", missing,
+                     "--test-preds", missing, "--test-labels", missing]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == code
+        assert culprit in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepTheta:
     def test_default_grid_has_49_rows(self, suite, tmp_path):

@@ -45,6 +45,27 @@ class TestSigmoid:
         with pytest.raises(ValidationError):
             sigmoid(bad)
 
+    @staticmethod
+    def two_branch(x):
+        """The earlier formula: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) elsewhere."""
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_bit_identical_to_two_branch_formula(self, rng):
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0])
+        for x in [edges, rng.normal(0.0, 5.0, 1001), rng.uniform(-800, 800, 997),
+                  rng.normal(0.0, 1.0, (7, 13))]:
+            assert sigmoid(x).tobytes() == self.two_branch(x).tobytes()
+        for x in edges:
+            got = sigmoid(np.float64(x))
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == self.two_branch(x).tobytes()
+
 
 class TestShiftedSigmoid:
     def test_zero_argument(self):
@@ -251,6 +272,16 @@ class TestContainers:
         a = ProbSeries(("x", "y"), [0.1, 0.9])
         b = ProbSeries(("x", "z"), [0.8, 0.2])
         with pytest.raises(AlignmentError):
+            PredictionMatrix.from_columns([("A", a), ("B", b)])
+
+    @pytest.mark.parametrize("b_ids, lacking", [
+        (("y", "z"), "'x'"),        # B lacks an id of A
+        (("y", "x", "z"), "'z'"),   # A lacks an id of B
+    ])
+    def test_from_columns_error_names_model_and_id(self, b_ids, lacking):
+        a = ProbSeries(("x", "y"), [0.1, 0.9])
+        b = ProbSeries(b_ids, [0.5] * len(b_ids))
+        with pytest.raises(AlignmentError, match=f"model 'B' vs 'A': .*{lacking}"):
             PredictionMatrix.from_columns([("A", a), ("B", b)])
 
     def test_select_unknown_model(self):

@@ -1,12 +1,15 @@
 import json
 import os
 import stat
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predfuse import (CombinerWeights, ConstraintError, LabelVector,
-                      ProbSeries, TrainConfig, ValidationError, cross_validate,
+                      PredictionMatrix, ProbSeries, TrainConfig, ValidationError, cross_validate,
                       NNMethod, RunPlan)
 from predfuse.combiner import TrainResult
 from predfuse.io_files import (atomic_write_text, load_label_file, load_matrix,
@@ -19,6 +22,97 @@ from predfuse.synth import SyntheticSpec, generate
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
+
+
+# Any non-empty text that UTF-8 can encode (no lone surrogates) is an id,
+# commas, quotes, a lone \r, \n and surrounding spaces included.  Python
+# 3.10's csv module rejects NUL characters (3.11 reads them), so there ids
+# carry none.
+_CHARS = st.characters(blacklist_categories=("Cs",),
+                       blacklist_characters="\x00" if sys.version_info < (3, 11) else "")
+_IDS = st.lists(st.text(_CHARS, min_size=1, max_size=8)
+                | st.sampled_from([",", '"', "\r", "\n", " a ", '"q"', "a,b", "\r\n"]),
+                min_size=1, max_size=12, unique=True)
+
+
+class TestRoundTripAnyIds:
+    @settings(max_examples=200, deadline=None)
+    @given(ids=_IDS, data=st.data())
+    def test_prediction_file(self, tmp_path_factory, ids, data):
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(ids),
+                                    max_size=len(ids)))
+        path = tmp_path_factory.mktemp("rt") / "p.csv"
+        save_prediction_file(path, ProbSeries(tuple(ids), values))
+        back = load_prediction_file(path)
+        assert back.ids == tuple(ids)
+        assert back.values.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ids=_IDS, data=st.data())
+    def test_label_file(self, tmp_path_factory, ids, data):
+        values = data.draw(st.lists(st.integers(0, 1), min_size=len(ids),
+                                    max_size=len(ids)))
+        path = tmp_path_factory.mktemp("rt") / "l.csv"
+        save_label_file(path, LabelVector(tuple(ids), values))
+        back = load_label_file(path)
+        assert back.ids == tuple(ids)
+        assert back.values.tolist() == values
+
+    @settings(max_examples=50, deadline=None)
+    @given(ids=_IDS, data=st.data())
+    def test_matrix_files(self, tmp_path_factory, ids, data):
+        values = data.draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                                    min_size=len(ids), max_size=len(ids)))
+        matrix = PredictionMatrix(tuple(ids), ("A", "B"), values)
+        out = tmp_path_factory.mktemp("rt")
+        back = load_matrix(save_matrix_files(out, matrix))
+        assert back.ids == matrix.ids and back.model_names == ("A", "B")
+        assert back.values.tobytes() == matrix.values.tobytes()
+
+    def test_ids_that_need_quotes_are_quoted(self, tmp_path):
+        path = tmp_path / "p.csv"
+        save_prediction_file(path, ProbSeries(("a,b", '"q"', "x\ry", "plain"),
+                                              [0.25, 0.5, 0.75, 1.0]))
+        assert path.read_bytes() == (b'id,prob\n"a,b",0.25\n"""q""",0.5\n'
+                                     b'"x\ry",0.75\nplain,1.0\n')
+
+
+_EITHER_KIND = pytest.mark.parametrize("load, header", [
+    (load_prediction_file, "id,prob"), (load_label_file, "id,label")])
+
+
+class TestReaderEdgeCases:
+    @_EITHER_KIND
+    def test_bom_before_header_accepted(self, tmp_path, load, header):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{header}\na,1\n".encode())
+        assert load(path).ids == ("a",)
+
+    @_EITHER_KIND
+    def test_invalid_utf8_names_the_file(self, tmp_path, load, header):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"{header}\na,1\n".encode() + b"\xff\xfe,0\n")
+        with pytest.raises(ValidationError, match=r"bad\.csv: not valid UTF-8"):
+            load(path)
+
+    @_EITHER_KIND
+    def test_empty_id_names_file_and_line(self, tmp_path, load, header):
+        path = tmp_path / "bad.csv"
+        write(path, f"{header}\na,1\n,0\n")
+        with pytest.raises(ValidationError, match=r"bad\.csv:3: empty sample id"):
+            load(path)
+
+    def test_oversized_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write(path, "id,prob\na,0.5\n" + "x" * 200_000 + ",0.5\n")
+        with pytest.raises(ValidationError, match=r"bad\.csv:3: field larger"):
+            load_prediction_file(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write(path, "id,prob\na,0.5\n\nb,nan\n")
+        with pytest.raises(ValidationError, match=r"bad\.csv:4: probability nan"):
+            load_prediction_file(path)
 
 
 class TestPredictionFiles:
@@ -164,6 +258,67 @@ class TestWeightsJson:
         path = tmp_path / "w.json"
         write(path, "{not json")
         with pytest.raises(ValidationError):
+            load_weights(path)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("[" * 100_000, id="nested-100k-deep"),
+        pytest.param('{"b": 1' + "0" * 5000 + "}", id="integer-5001-digits")])
+    def test_pathological_json_rejected(self, tmp_path, text):
+        path = tmp_path / "w.json"
+        write(path, text)
+        with pytest.raises(ValidationError, match=r"w\.json: not valid JSON"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("train_config.epochs", 1.7),
+        ("train_config.batch_size", True),
+        ("train_config.shuffle_each_epoch", 0),
+        ("train_config.seed", True),
+        ("train_config.learning_rate", "0.1"),
+        ("clipped_any", 1),
+        ("clipped_any", "false"),
+        ("b", "0.5"),
+        ("b", None),
+        ("t", "0.5"),
+        ("weights", "0.1"),
+        ("model_names", [1, 2]),
+    ])
+    def test_json_types_checked_not_coerced(self, tmp_path, field, value):
+        path = tmp_path / "w.json"
+        save_weights(path, self.result())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if field == "weights":
+            doc["weights"][0] = value
+        elif field.startswith("train_config."):
+            doc["train_config"][field.split(".")[1]] = value
+        else:
+            doc[field] = value
+        write(path, json.dumps(doc))
+        with pytest.raises(ValidationError, match=rf"w\.json: {field} must be"):
+            load_weights(path)
+
+    def test_integer_literals_read_as_floats(self, tmp_path):
+        path = tmp_path / "w.json"
+        save_weights(path, self.result())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["weights"], doc["b"] = [1, 0], 0
+        write(path, json.dumps(doc))
+        back = load_weights(path)
+        assert back.weights.w.tolist() == [1.0, 0.0] and back.weights.b == 0.0
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "w.json"
+        save_weights(path, self.result())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["b"] = 10 ** 400
+        write(path, json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"w\.json: b must be a finite number"):
+            load_weights(path)
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_bytes(b'{"model_names": ["\xff"]}')
+        with pytest.raises(ValidationError, match=r"w\.json: not valid UTF-8"):
             load_weights(path)
 
 
