@@ -13,7 +13,8 @@ formats with a CLI (``predfuse --help``).
 
 from .bounds import BoundReport, normalized_score, weight_sum, weight_sum_bounds
 from .combiner import (CombinerWeights, TrainConfig, TrainResult, forward,
-                       gradient, loss, predict, raw_score, train)
+                       gradient, loss, predict, raw_score, train,
+                       train_runs)
 from .core import (LabelVector, PredictionMatrix, ProbSeries, accuracy,
                    assign_class, binary_norm, harden, shifted_sigmoid,
                    sigmoid, thresholded_distance, thresholded_norm)

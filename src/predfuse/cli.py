@@ -155,8 +155,7 @@ def _cmd_synth(args) -> None:
                          rho=args.rho, n=args.n, balance=args.balance,
                          sharpness=args.sharpness, seed=args.seed)
     labels, matrix = generate(spec)
-    io_files.save_matrix_files(args.out, matrix)
-    io_files.save_label_file(f"{args.out}/labels.csv", labels)
+    io_files.save_matrix_files(args.out, matrix, labels)
 
 
 def _train_config(args) -> TrainConfig:

@@ -11,12 +11,18 @@ every step and recording whether any projection actually clipped.
 and :func:`forward` are one-row views of it.  :func:`gradient` and every
 step of the package's one training loop, which also fits the toy text model,
 share one private gradient kernel; :class:`TrainConfig` owns its settings.
+
+The loop advances R independent runs in lock step: their parameters form
+one ``(R, K+1)`` array under one ADAM, each run draws its own minibatches
+with its own seed, and every run keeps the bits it would have alone.
+:func:`train` is the case R = 1; :func:`train_runs` fits many seeds and
+folds at once, as cross-validation does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .errors import ConstraintError, ValidationError
 from .optim import Adam
 
 __all__ = ["CombinerWeights", "TrainConfig", "TrainResult", "raw_score",
-           "forward", "predict", "loss", "gradient", "train"]
+           "forward", "predict", "loss", "gradient", "train", "train_runs"]
 
 _LOG_EPS = 1e-12  # clamp inside the BCE logarithms only
 
@@ -148,14 +154,45 @@ def gradient(weights: CombinerWeights, matrix: PredictionMatrix,
              labels: LabelVector, l2: float = TrainConfig.l2) -> np.ndarray:
     """Analytic gradient of :func:`loss`, length K+1: d/dw_1..K then d/db."""
     x, u = _training_arrays(matrix.select(weights.model_names), labels)
-    return _gradient(weights.w, weights.b, x, u, float(l2))
+    return _gradient(weights.w[None], np.array([weights.b]), x[None], u[None],
+                     float(l2))[0]
 
 
-def _gradient(w: np.ndarray, b: float, x: np.ndarray, u: np.ndarray,
+def _gradient(w: np.ndarray, b: np.ndarray, x: np.ndarray, u: np.ndarray,
               l2: float) -> np.ndarray:
-    resid = sigmoid(x @ w - b) - u
-    gw = x.T @ resid / len(u) + 2.0 * l2 * w
-    return np.append(gw, -resid.mean())
+    """Gradient of :func:`loss` for R runs at once: weights (R, K), shifts
+    (R,), minibatches x (R, B, K) and u (R, B); returns (R, K+1).
+
+    Batched ``@`` makes the same BLAS matrix-vector call per run that a lone
+    run makes, so each run keeps its bits; ``einsum`` sums in another order.
+    """
+    n = u.shape[1]
+    resid = sigmoid((x @ w[:, :, None])[:, :, 0] - b[:, None]) - u
+    gw = (x.transpose(0, 2, 1) @ resid[:, :, None])[:, :, 0] / n + 2.0 * l2 * w
+    # sum / -n has the bits of -mean, and costs less than mean(axis=1)
+    return np.concatenate([gw, (resid.sum(axis=1) / -n)[:, None]], axis=1)
+
+
+def _fold_arrays(matrix: PredictionMatrix, labels: LabelVector
+                 ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Training arrays of one fold, checked, plus its degenerate-labels flag."""
+    x, u = _training_arrays(matrix, labels)
+    n, k = x.shape
+    if n < k + 1:
+        raise ValidationError(f"need at least K+1={k + 1} samples, got {n}")
+    return x, u, bool((u == u[0]).all())
+
+
+def _result(names, w: np.ndarray, b: float, clipped: bool, cfg: TrainConfig,
+            t: float, degenerate: bool) -> TrainResult:
+    return TrainResult(weights=CombinerWeights(names, w, b, t), config=cfg,
+                       clipped_any=bool(clipped), degenerate_labels=degenerate)
+
+
+def _start(k: int) -> tuple[np.ndarray, float]:
+    # The uninformative point: equal weights, shift at the centre of the
+    # initial score range, so the initial forward is ~0.5.
+    return np.full(k, 1.0 / k), 0.5
 
 
 def train(matrix: PredictionMatrix, labels: LabelVector,
@@ -177,37 +214,90 @@ def train(matrix: PredictionMatrix, labels: LabelVector,
     TrainResult with the final weights (all >= 0), whether any update was
     clipped back to zero, and whether the labels were single-class.
     """
-    x, u = _training_arrays(matrix, labels)
-    n, k = x.shape
-    if n < k + 1:
-        raise ValidationError(f"need at least K+1={k + 1} samples, got {n}")
-    degenerate = bool((u == u[0]).all())
-    # Start from the uninformative point: equal weights, shift at the centre
-    # of the initial score range, so the initial forward is ~0.5.
-    w, b, clipped = _fit(x, u, np.full(k, 1.0 / k), 0.5, cfg, 0.0, callback)
-    weights = CombinerWeights(matrix.model_names, w, b, t)
-    return TrainResult(weights=weights, config=cfg, clipped_any=clipped,
-                       degenerate_labels=degenerate)
+    x, u, degenerate = _fold_arrays(matrix, labels)
+    w, b, clipped = _fit(x[None], u[None], *_start(x.shape[1]), [cfg], 0.0,
+                         callback=callback)
+    return _result(matrix.model_names, w[0], b[0], clipped[0], cfg, t,
+                   degenerate)
 
 
-def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float,
-         cfg: TrainConfig, floor: float, callback) -> tuple[np.ndarray, float, bool]:
-    """Minibatch ADAM from (w, b) on the :func:`loss` objective; weights below
-    ``floor`` are projected onto it after every step.  Returns (w, b, clipped)."""
-    n, k = x.shape
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    opt = Adam(k + 1, lr=cfg.learning_rate)
-    clipped = False
+def train_runs(folds, runs, t: float = 0.5) -> list[TrainResult]:
+    """Fit many runs in lock step; each equals its own :func:`train` call.
+
+    Parameters
+    ----------
+    folds : sequence of ``(matrix, labels)`` pairs naming the same models.
+    runs : sequence of ``(fold index, TrainConfig)``; the configs may differ
+        only in their seed.
+    t : decision threshold stored on every result.
+
+    Returns
+    -------
+    One TrainResult per run, in order, bit-identical to
+    ``train(*folds[f], cfg, t)``.  Runs on folds of one row count share one
+    minibatch-ADAM loop, so folds that differ by a row make two loops.
+    """
+    arrays = [_fold_arrays(m, labels) for m, labels in folds]
+    names = folds[0][0].model_names if arrays else ()
+    if any(m.model_names != names for m, _ in folds):
+        raise ValidationError("folds trained together must name the same "
+                              "models in the same order")
+    results = [None] * len(runs)
+    for n in sorted({len(arrays[f][1]) for f, _ in runs}):
+        members = [i for i, (f, _) in enumerate(runs) if len(arrays[f][1]) == n]
+        used = sorted({runs[i][0] for i in members})
+        x = np.stack([arrays[f][0] for f in used])
+        u = np.stack([arrays[f][1] for f in used])
+        slot = np.array([used.index(runs[i][0]) for i in members], dtype=np.intp)
+        cfgs = [runs[i][1] for i in members]
+        w, b, clipped = _fit(x, u, *_start(len(names)), cfgs, 0.0, fold=slot)
+        for j, i in enumerate(members):
+            f, cfg = runs[i]
+            results[i] = _result(names, w[j], b[j], clipped[j], cfg, t,
+                                 arrays[f][2])
+    return results
+
+
+def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
+         floor: float, fold=None, callback=None
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minibatch ADAM on the :func:`loss` objective for R runs in lock step.
+
+    ``x`` (F, n, K) and ``u`` (F, n) stack F equally sized folds; run r
+    trains with ``cfgs[r]`` on fold ``fold[r]`` (default: fold r), starting
+    from (w, b).  Every run shuffles with its own seed, but all share the
+    step count, so the runs form one ``(R, K+1)`` parameter array under one
+    ADAM.  Weights below ``floor`` are projected onto it after every step:
+    all of a run's weights, and only in the runs that had one below it,
+    exactly as a lone run would be.  ``callback(step, w, b)`` sees the first
+    run.  Returns w (R, K), b (R,) and the clipped flags (R,).
+    """
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValidationError("runs trained in lock step must share every "
+                              "hyperparameter but the seed")
+    f, n, k = x.shape
+    x, u = x.reshape(f * n, k), u.reshape(f * n)  # one copy per fold, not per run
+    fold = np.arange(len(cfgs)) if fold is None else fold
+    base = fold[:, None] * n
+    rngs = [np.random.Generator(np.random.PCG64(c.seed)) for c in cfgs]
+    params = np.tile(np.append(w, b), (len(cfgs), 1))
+    opt = Adam(params.shape, lr=cfg.learning_rate)
+    w, b = params[:, :k], params[:, k]
+    clipped = np.zeros(len(cfgs), dtype=bool)
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
+        if cfg.shuffle_each_epoch:
+            order = np.stack([rng.permutation(n) for rng in rngs]) + base
+        else:
+            order = np.arange(n) + base
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            grad = _gradient(w, b, x[idx], u[idx], cfg.l2)
-            params = opt.step(np.append(w, b), grad)
-            w, b = params[:k], float(params[k])
+            idx = order[:, start:start + cfg.batch_size]
+            params = opt.step(params, _gradient(w, b, x[idx], u[idx], cfg.l2))
+            w, b = params[:, :k], params[:, k]
             if (w < floor).any():
-                clipped = True
-                w = np.maximum(w, floor)
+                low = (w < floor).any(axis=1)
+                clipped |= low
+                w[low] = np.maximum(w[low], floor)
             if callback is not None:
-                callback(opt.t, w, b)
+                callback(opt.t, w[0], float(b[0]))
     return w, b, clipped

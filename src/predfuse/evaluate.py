@@ -5,8 +5,10 @@ folds, a combiner is fitted on each held-out fold's prediction rows, and
 every fitted combiner is evaluated on the one full test matrix.  Trained
 combiners are refitted ``repeats_per_fold`` times per fold with seeds
 derived from (plan seed, fold, repeat), so runs are independent of
-scheduling order.  Fixed rules have nothing to fit and get one record per
-fold; the hybrid's theta sweep is deterministic, so it does too.
+scheduling order: every (fold, repeat) run is fitted in one lock-step call
+(:func:`~predfuse.combiner.train_runs`, one training loop per fold size),
+then scored run by run.  Fixed rules have nothing to fit and get one record
+per fold; the hybrid's theta sweep is deterministic, so it does too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import BoundReport, weight_sum_bounds
-from .combiner import TrainConfig, predict, train
+from .combiner import TrainConfig, TrainResult, predict, train_runs
 from .core import LabelVector, PredictionMatrix, accuracy, check_seed
 from .errors import ValidationError
 from .hybrid import (HybridConfig, _check_models, _check_theta, hybrid_predict,
@@ -187,12 +189,16 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
     records = []
     if isinstance(method, NNMethod):
         label = "nn"
-        for f, fold_ids in enumerate(split.folds):
-            fold_m = train_preds.restrict(fold_ids)
-            fold_u = train_labels.restrict(fold_ids)
-            for r in range(plan.repeats_per_fold):
-                records.append(_nn_run(plan, f, r, fold_m, fold_u,
-                                       test_preds, test_labels, method))
+        folds = [(train_preds.restrict(ids), train_labels.restrict(ids))
+                 for ids in split.folds]
+        grid = [(f, r) for f in range(plan.n_folds)
+                for r in range(plan.repeats_per_fold)]
+        results = train_runs(folds, [
+            (f, replace(method.config, seed=derive_seed(plan.seed, f, r)))
+            for f, r in grid], t=method.threshold)
+        for (f, r), result in zip(grid, results):
+            records.append(_nn_run(f, r, result, *folds[f], test_preds,
+                                   test_labels))
     elif isinstance(method, RuleMethod):
         label = method.rule
         scores, _ = apply_rule(method.rule, test_preds)
@@ -220,17 +226,15 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
     return EvalReport.from_records(label, records)
 
 
-def _nn_run(plan: RunPlan, fold: int, repeat: int,
+def _nn_run(fold: int, repeat: int, result: TrainResult,
             fold_m: PredictionMatrix, fold_u: LabelVector,
-            test_preds: PredictionMatrix, test_labels: LabelVector,
-            method: NNMethod) -> RunRecord:
-    cfg = replace(method.config, seed=derive_seed(plan.seed, fold, repeat))
-    result = train(fold_m, fold_u, cfg, t=method.threshold)
+            test_preds: PredictionMatrix, test_labels: LabelVector) -> RunRecord:
+    """Score one trained run on the test matrix and bound it on its fold."""
     acc = accuracy(predict(result.weights, test_preds), test_labels)
     bound = weight_sum_bounds(result.weights, fold_m, fold_u)
     clipped = "yes" if result.clipped_any else "no"
     w_text = "|".join(repr(float(w)) for w in result.weights.w)
-    detail = (f"seed={cfg.seed};clipped={clipped};w={w_text};"
+    detail = (f"seed={result.config.seed};clipped={clipped};w={w_text};"
               f"b={result.weights.b!r}")
     return RunRecord(fold=fold, repeat=repeat, accuracy=acc, detail=detail,
                      bound=bound)

@@ -10,11 +10,11 @@ partial output behind.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import re
 import tempfile
-from contextlib import contextmanager
 from dataclasses import fields
 from itertools import islice
 from pathlib import Path
@@ -35,26 +35,37 @@ __all__ = ["load_prediction_file", "save_prediction_file", "load_label_file",
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place,
     with the mode ``open`` would give (0o666 less the umask, not 0o600)."""
-    with _atomic_open(path) as fh:
-        fh.write(text)
+    _atomic_write([(path, lambda fh: fh.write(text))])
 
 
-@contextmanager
-def _atomic_open(path):
-    """A text file that replaces ``path`` when the block ends, or is deleted
-    if the block raises."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".")
+def _atomic_write(writes) -> None:
+    """For each ``(path, write)``, ``write(fh)`` fills a temp file beside
+    ``path``; only when every file is written are they renamed into place,
+    in order.  Nothing new is left if a write raises.  A target that is a
+    directory, which would fail its rename, is refused before anything is
+    written; any other failed rename leaves the files renamed before it."""
+    for path, _ in writes:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    str(path))
+    tmps = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        for path, write in writes:
+            path = Path(path)
+            fd, tmp = tempfile.mkstemp(dir=path.parent or ".",
+                                       prefix=path.name + ".")
+            tmps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
         umask = os.umask(0)  # the only way to read it; restored at once
         os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        for tmp, (path, _) in zip(tmps, writes):
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -101,16 +112,22 @@ def _read_csv(path, column: str, parse, noun: str) -> tuple[list[str], list]:
     return ids, values
 
 
-def _write_csv(path, column: str, ids, cells) -> None:
-    """Write an ``id,<column>`` CSV a few thousand rows at a time, so no copy
-    of the whole text is held."""
-    if any(map(_QUOTED.search, ids)):  # else skip a per-row call
-        ids = map(_id_field, ids)
-    rows = (f"{sid},{cell}\n" for sid, cell in zip(ids, cells))
-    with _atomic_open(path) as fh:
+def _csv_writer(path, column: str, ids, cells):
+    """A ``write(fh)`` for :func:`_atomic_write` that writes an
+    ``id,<column>`` CSV a few thousand rows at a time, so no copy of the
+    whole text is held."""
+    def write(fh):
+        quoted = map(_id_field, ids) if any(map(_QUOTED.search, ids)) else ids
+        rows = (f"{sid},{cell}\n" for sid, cell in zip(quoted, cells))
         fh.write(f"id,{column}\n")
-        while chunk := "".join(islice(rows, 4096)):
-            fh.write(chunk)
+        try:
+            while chunk := "".join(islice(rows, 4096)):
+                fh.write(chunk)
+        except UnicodeEncodeError as exc:  # a lone surrogate in an id
+            bad = exc.object[exc.start:exc.end]
+            raise ValidationError(f"{path}: sample id holds {bad!r}, "
+                                  "which UTF-8 cannot encode") from None
+    return path, write
 
 
 _QUOTED = re.compile('[,"\r\n]')
@@ -139,6 +156,14 @@ def _label(raw: str) -> int:
     return int(raw)
 
 
+def _prob_csv(path, ids, probs):
+    return _csv_writer(path, "prob", ids, map(repr, map(float, probs)))
+
+
+def _label_csv(path, labels: LabelVector):
+    return _csv_writer(path, "label", labels.ids, labels.values)
+
+
 def load_prediction_file(path) -> ProbSeries:
     """Read an ``id,prob`` CSV; errors name the file, line, and value."""
     ids, values = _read_csv(path, "prob", _prob, "prediction")
@@ -146,7 +171,7 @@ def load_prediction_file(path) -> ProbSeries:
 
 
 def save_prediction_file(path, series: ProbSeries) -> None:
-    _write_csv(path, "prob", series.ids, map(repr, map(float, series.values)))
+    _atomic_write([_prob_csv(path, series.ids, series.values)])
 
 
 def load_label_file(path) -> LabelVector:
@@ -156,7 +181,7 @@ def load_label_file(path) -> LabelVector:
 
 
 def save_label_file(path, labels: LabelVector) -> None:
-    _write_csv(path, "label", labels.ids, labels.values)
+    _atomic_write([_label_csv(path, labels)])
 
 
 def load_matrix(paths, names=None) -> PredictionMatrix:
@@ -177,16 +202,19 @@ def load_matrix(paths, names=None) -> PredictionMatrix:
         [(name, load_prediction_file(path)) for name, path in zip(names, paths)])
 
 
-def save_matrix_files(out_dir, matrix: PredictionMatrix) -> list[Path]:
-    """One ``<model>.csv`` per column, in the matrix's column order."""
+def save_matrix_files(out_dir, matrix: PredictionMatrix,
+                      labels: LabelVector | None = None) -> list[Path]:
+    """One ``<model>.csv`` per column, in the matrix's column order, then
+    ``labels.csv`` when labels are given.  Every file is written before any
+    is renamed into place, so a failed write leaves no new file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in matrix.model_names:
-        path = out_dir / f"{name}.csv"
-        save_prediction_file(path, matrix.column(name))
-        written.append(path)
-    return written
+    writes = [_prob_csv(out_dir / f"{name}.csv", matrix.ids, matrix.values[:, j])
+              for j, name in enumerate(matrix.model_names)]
+    if labels is not None:
+        writes.append(_label_csv(out_dir / "labels.csv", labels))
+    _atomic_write(writes)
+    return [path for path, _ in writes]
 
 
 # --- combiner weights (JSON) ----------------------------------------------
@@ -234,10 +262,10 @@ def save_weights(path, result: TrainResult) -> None:
 
 def load_weights(path) -> TrainResult:
     """Load a weights document, enforcing the schema and the non-negativity
-    constraint.  The degenerate-labels flag is not persisted and comes back
-    False."""
+    constraint.  A UTF-8 BOM before the document is skipped.  The
+    degenerate-labels flag is not persisted and comes back False."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not valid UTF-8") from None

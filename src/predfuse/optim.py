@@ -1,8 +1,10 @@
-"""Minimal ADAM optimizer over a flat numpy parameter vector.
+"""Minimal ADAM optimizer over a numpy parameter array.
 
 One deliberately small implementation, built only by the package's one
 training loop (``combiner._fit``), which fits both the prediction combiner
-and the toy text model.
+and the toy text model.  The update is elementwise, so an ``(R, K+1)``
+array of R runs that share the step count steps each run exactly as a
+lone ``(K+1,)`` vector would.
 """
 
 from __future__ import annotations
@@ -16,16 +18,16 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 class Adam:
     """ADAM with bias-corrected first/second moments."""
 
-    def __init__(self, n_params: int, lr: float):
+    def __init__(self, shape, lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)
-        self.m = np.zeros(n_params)
-        self.v = np.zeros(n_params)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Return the updated parameter vector (does not mutate the input)."""
+        """Return the updated parameters (does not mutate the input)."""
         self.t += 1
         self.m = _BETA1 * self.m + (1.0 - _BETA1) * grad
         self.v = _BETA2 * self.v + (1.0 - _BETA2) * grad * grad

@@ -88,7 +88,7 @@ def logistic_loss(w: np.ndarray, bias: float, x: np.ndarray,
 def logistic_gradient(w: np.ndarray, bias: float, x: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`logistic_loss`, weights first then bias."""
-    grad = _gradient(w, -bias, x, u, 0.0)
+    grad = _gradient(w[None], np.array([-bias]), x[None], u[None], 0.0)[0]
     grad[-1] = -grad[-1]
     return grad
 
@@ -107,9 +107,10 @@ def train_logistic(docs, labels, v_size: int, epochs: int = TrainConfig.epochs,
                       l2=0.0, seed=seed)
     vocab = build_vocab(docs, v_size)
     x = np.stack([encode(d, vocab) for d in docs])
-    w, b, _ = _fit(x, u, np.zeros(vocab.size), 0.0, cfg, -np.inf, None)
+    w, b, _ = _fit(x[None], u[None], np.zeros(vocab.size), 0.0, [cfg], -np.inf)
+    w = w[0]
     w.setflags(write=False)
-    return LogisticModel(weights=w, bias=-b, vocab=vocab)
+    return LogisticModel(weights=w, bias=-float(b[0]), vocab=vocab)
 
 
 def load_corpus(path) -> list[str]:

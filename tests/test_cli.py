@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from predfuse import evaluate
+from predfuse import evaluate, io_files
 from predfuse.cli import _grid, main
 from predfuse.evaluate import parse_report
 from predfuse.hybrid import default_theta_grid
@@ -48,6 +49,25 @@ class TestSynth:
                          "--n", "80", "--seed", "5", "--out", str(out)]) == 0
         for name in ("M1.csv", "M2.csv", "labels.csv"):
             assert read(a / name) == read(b / name)
+
+    @pytest.mark.parametrize("culprit", ["directory", "write"])
+    def test_failed_last_file_leaves_no_model_file(self, tmp_path, monkeypatch,
+                                                   capsys, culprit):
+        out = tmp_path / "suite"
+        if culprit == "directory":  # labels.csv cannot replace a directory
+            (out / "labels.csv").mkdir(parents=True)
+        else:  # the labels file is the last one written
+            def failing(path, labels):
+                def write(fh):
+                    fh.write("id,label\n")
+                    raise OSError(28, "No space left on device")
+                return path, write
+            monkeypatch.setattr(io_files, "_label_csv", failing)
+        assert main(["synth", "--models", "3", "--acc", "0.8,0.85,0.9",
+                     "--n", "50", "--seed", "3", "--out", str(out)]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        left = sorted(p.name for p in out.iterdir())
+        assert left == (["labels.csv"] if culprit == "directory" else [])
 
 
 class TestTrainAndCombine:
@@ -376,6 +396,28 @@ class TestCv:
         report = parse_report(read(out))
         assert len(report.records) == 6
         assert report.method == "nn"
+
+    def test_nn_cv_report_bytes_pinned(self, tmp_path):
+        # Pinned bits, as in test_combiner.  301 rows make folds of 101, 100
+        # and 100 rows, so the runs train in two lock-step groups; batch 16
+        # divides neither size, and some runs clip while others do not.
+        train, test = tmp_path / "train", tmp_path / "test"
+        for out, n, seed in ((train, "301", "7"), (test, "200", "8")):
+            assert main(["synth", "--models", "3", "--acc", "0.6,0.75,0.9",
+                         "--n", n, "--seed", seed, "--out", str(out)]) == 0
+        out = tmp_path / "report.tsv"
+        assert main(["cv", "--folds", "3", "--repeats", "2", "--seed", "4",
+                     "--method", "nn", "--epochs", "5", "--lr", "0.05",
+                     "--batch", "16",
+                     "--train-preds", *(str(train / f"M{i}.csv") for i in (1, 2, 3)),
+                     "--train-labels", str(train / "labels.csv"),
+                     "--test-preds", *(str(test / f"M{i}.csv") for i in (1, 2, 3)),
+                     "--test-labels", str(test / "labels.csv"),
+                     "--out", str(out)]) == 0
+        text = read(out)
+        assert "clipped=yes" in text and "clipped=no" in text
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "86ac421bcf69445bf1134b8090c1d0d46c992459938af3faf4cc1c1e93678b8f")
 
     def test_cv_byte_identical_reruns(self, suite, tmp_path):
         outs = [tmp_path / "r1.tsv", tmp_path / "r2.tsv"]

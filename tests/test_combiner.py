@@ -1,13 +1,15 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from predfuse import (CombinerWeights, ConstraintError, TrainConfig,
-                      ValidationError, accuracy, forward, gradient, loss,
-                      predict, raw_score, train)
+                      ValidationError, accuracy, derive_seed, forward,
+                      gradient, kfold_split, loss, predict, raw_score, train,
+                      train_runs)
 from predfuse.synth import SyntheticSpec, generate
 
 from conftest import make_labels, make_matrix
@@ -286,3 +288,67 @@ class TestTrain:
         labels = make_labels([1, 0, 1])
         with pytest.raises(ValidationError):
             train(m, labels, TrainConfig(epochs=1))
+
+
+class TestTrainRuns:
+    """Lock-step training equals one separate train() call per run, bit for bit."""
+
+    @staticmethod
+    def folds_and_runs(n, n_folds, repeats, **cfg):
+        labels, m = generate(SyntheticSpec(
+            k=3, target_acc=(0.55, 0.8, 0.9), rho=0.3, n=n, seed=5))
+        split = kfold_split(m.ids, n_folds, seed=1)
+        folds = [(m.restrict(ids), labels.restrict(ids)) for ids in split.folds]
+        runs = [(f, TrainConfig(seed=derive_seed(0, f, r), **cfg))
+                for f in range(n_folds) for r in range(repeats)]
+        return folds, runs
+
+    @staticmethod
+    def assert_bit_identical(folds, runs, t=0.5):
+        results = train_runs(folds, runs, t=t)
+        assert len(results) == len(runs)
+        for (f, cfg), got in zip(runs, results):
+            want = train(*folds[f], cfg, t=t)
+            assert got.weights.w.tobytes() == want.weights.w.tobytes()
+            assert got.weights.b.hex() == want.weights.b.hex()
+            assert got.clipped_any == want.clipped_any
+            assert got.degenerate_labels == want.degenerate_labels
+            assert got.config == cfg
+            assert (got.weights.model_names, got.weights.t) == (
+                want.weights.model_names, want.weights.t)
+        return results
+
+    def test_two_fold_sizes_ragged_batches_and_mixed_clipping(self):
+        # 1,003 rows in 5 folds: sizes 201, 201, 201, 200, 200, so two
+        # lock-step groups; batch 24 divides neither size.
+        folds, runs = self.folds_and_runs(1003, 5, 2, learning_rate=0.02,
+                                          epochs=4, batch_size=24)
+        assert sorted({len(m.ids) for m, _ in folds}) == [200, 201]
+        results = self.assert_bit_identical(folds, runs, t=0.4)
+        for size in (200, 201):
+            flags = {r.clipped_any for (f, _), r in zip(runs, results)
+                     if len(folds[f][0].ids) == size}
+            assert flags == {True, False}  # a clipping run beside one that does not
+
+    def test_without_shuffling(self):
+        folds, runs = self.folds_and_runs(303, 3, 2, learning_rate=0.02,
+                                          epochs=3, batch_size=16,
+                                          shuffle_each_epoch=False)
+        self.assert_bit_identical(folds, runs)
+
+    def test_runs_in_any_order_over_a_subset_of_folds(self):
+        folds, runs = self.folds_and_runs(250, 4, 2, epochs=2)
+        self.assert_bit_identical(folds, [runs[5], runs[0], runs[4]])
+
+    def test_hyperparameters_beside_the_seed_must_match(self):
+        folds, runs = self.folds_and_runs(200, 2, 1, epochs=2)
+        f, cfg = runs[1]
+        with pytest.raises(ValidationError, match="share every hyperparameter"):
+            train_runs(folds, [runs[0], (f, replace(cfg, l2=0.0))])
+
+    def test_folds_must_name_the_same_models(self):
+        folds, runs = self.folds_and_runs(200, 2, 1, epochs=2)
+        m, labels = folds[1]
+        folds[1] = (m.select(["M2", "M1", "M3"]), labels)
+        with pytest.raises(ValidationError, match="same models"):
+            train_runs(folds, runs)

@@ -315,6 +315,14 @@ class TestWeightsJson:
         with pytest.raises(ValidationError, match=r"w\.json: b must be a finite number"):
             load_weights(path)
 
+    def test_bom_before_document_accepted(self, tmp_path):
+        path = tmp_path / "w.json"
+        save_weights(path, self.result())
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back = load_weights(path)
+        np.testing.assert_array_equal(back.weights.w, self.result().weights.w)
+        assert back.config == self.result().config
+
     def test_invalid_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_bytes(b'{"model_names": ["\xff"]}')
@@ -336,6 +344,20 @@ class TestReports:
 
 
 class TestAtomicWrites:
+    @pytest.mark.parametrize("save", [
+        pytest.param(lambda p, ids: save_prediction_file(
+            p, ProbSeries(ids, [0.5] * len(ids))), id="prediction"),
+        pytest.param(lambda p, ids: save_label_file(
+            p, LabelVector(ids, [1] * len(ids))), id="label")])
+    def test_unencodable_id_names_the_file(self, tmp_path, save):
+        # A lone surrogate, only the library API can build one; after 5,000
+        # rows so that it falls in a later chunk than the first.
+        ids = tuple(f"s{i}" for i in range(5000)) + ("a\ud800",)
+        with pytest.raises(ValidationError,
+                           match=r"out\.csv: sample id holds '\\ud800'"):
+            save(tmp_path / "out.csv", ids)
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_partial_file_on_failure(self, tmp_path):
         target = tmp_path / "missing_dir" / "out.txt"
         with pytest.raises(OSError):
