@@ -125,7 +125,12 @@ def predict(weights: CombinerWeights, matrix: PredictionMatrix) -> ProbSeries:
     or list them in a different order.
     """
     sub = matrix.select(weights.model_names)
-    return ProbSeries(sub.ids, sigmoid(sub.values @ weights.w - weights.b))
+    return ProbSeries(sub.ids, _forward_rows(weights, sub.values))
+
+
+def _forward_rows(weights: CombinerWeights, x: np.ndarray) -> np.ndarray:
+    """Forward values of the rows of ``x``, columns in the weights' order."""
+    return sigmoid(x @ weights.w - weights.b)
 
 
 def _training_arrays(matrix: PredictionMatrix, labels: LabelVector
@@ -146,8 +151,7 @@ def loss(weights: CombinerWeights, matrix: PredictionMatrix,
          labels: LabelVector, l2: float = TrainConfig.l2) -> float:
     """Mean binary cross-entropy of forward against labels, plus l2*sum(w^2)."""
     x, u = _training_arrays(matrix.select(weights.model_names), labels)
-    yhat = sigmoid(x @ weights.w - weights.b)
-    return _bce(yhat, u) + float(l2) * float(weights.w @ weights.w)
+    return _bce(_forward_rows(weights, x), u) + float(l2) * float(weights.w @ weights.w)
 
 
 def gradient(weights: CombinerWeights, matrix: PredictionMatrix,

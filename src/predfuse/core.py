@@ -5,6 +5,10 @@ Everything downstream works on three value types: a labelled sample set
 (:class:`ProbSeries`), and K named columns sharing one id set
 (:class:`PredictionMatrix`).  Alignment is always by sample id, never by row
 order, so files may list samples in any order without silently misjoining.
+Ids are checked once (strings, non-empty, unique) when a value is built
+from a plain sequence; the checked tuple, a private ``SampleIds``, then
+passes unchecked through ``select``, ``column``, ``restrict`` and every
+constructor, and the file reader builds one from the checks it made itself.
 
 The norm operations harden a real-valued series with the ``>= t`` rule first
 and then take the Euclidean norm of the resulting 0/1 vector.  They accept
@@ -62,8 +66,24 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
-def _as_ids(ids) -> tuple[str, ...]:
-    out = tuple(str(i) for i in ids)
+class SampleIds(tuple):
+    """A sample id tuple already known to be non-empty, unique strings.
+
+    Build one only from ids that passed those checks: :func:`_as_ids` and
+    the file reader do.  Every constructor takes it as it is, so the ids of
+    a loaded file are checked once and then travel with the data.
+    """
+
+    __slots__ = ()
+
+
+def _as_ids(ids) -> SampleIds:
+    """``ids`` as checked ids; a :class:`SampleIds` passes as it is."""
+    return ids if isinstance(ids, SampleIds) else _check_ids(ids)
+
+
+def _check_ids(ids) -> SampleIds:
+    out = SampleIds(str(i) for i in ids)
     if not out:
         raise ValidationError("sample id set is empty")
     if any(i == "" for i in out):
@@ -139,7 +159,7 @@ class ProbSeries:
 
 
 def _align_values(src_ids, src_values, target_ids, what: str) -> np.ndarray:
-    if src_ids == tuple(target_ids):
+    if src_ids == target_ids:
         return src_values
     order = _rows_of(src_ids, target_ids, f"{what} are missing sample id")
     if len(target_ids) != len(src_ids):

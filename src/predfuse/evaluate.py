@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import BoundReport, weight_sum_bounds
-from .combiner import TrainConfig, TrainResult, predict, train_runs
+from .combiner import TrainConfig, TrainResult, _forward_rows, train_runs
 from .core import LabelVector, PredictionMatrix, accuracy, check_seed
 from .errors import ValidationError
 from .hybrid import (HybridConfig, _check_models, _check_theta, hybrid_predict,
@@ -196,9 +196,11 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
         results = train_runs(folds, [
             (f, replace(method.config, seed=derive_seed(plan.seed, f, r)))
             for f, r in grid], t=method.threshold)
+        test_x = test_preds.select(train_preds.model_names)
+        test_u = test_labels.align_to(test_x.ids)
         for (f, r), result in zip(grid, results):
-            records.append(_nn_run(f, r, result, *folds[f], test_preds,
-                                   test_labels))
+            records.append(_nn_run(f, r, result, *folds[f], test_x.values,
+                                   test_u))
     elif isinstance(method, RuleMethod):
         label = method.rule
         scores, _ = apply_rule(method.rule, test_preds)
@@ -228,9 +230,13 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
 
 def _nn_run(fold: int, repeat: int, result: TrainResult,
             fold_m: PredictionMatrix, fold_u: LabelVector,
-            test_preds: PredictionMatrix, test_labels: LabelVector) -> RunRecord:
-    """Score one trained run on the test matrix and bound it on its fold."""
-    acc = accuracy(predict(result.weights, test_preds), test_labels)
+            test_x: np.ndarray, test_u: np.ndarray) -> RunRecord:
+    """Score one trained run on the test rows and bound it on its fold.
+
+    ``test_x`` holds the test matrix's columns in the run's model order and
+    ``test_u`` the labels of the same rows, both prepared once per cv call.
+    """
+    acc = accuracy(_forward_rows(result.weights, test_x), test_u)
     bound = weight_sum_bounds(result.weights, fold_m, fold_u)
     clipped = "yes" if result.clipped_any else "no"
     w_text = "|".join(repr(float(w)) for w in result.weights.w)

@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from predfuse import LabelVector, PredictionMatrix
+
+# HYPOTHESIS_PROFILE=ci, set by the CI tier-1 step, gives each property test
+# that sets no example count of its own, such as the reader's differential
+# test, ten times hypothesis's default of 100.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -161,6 +161,16 @@ class TestExitCodes:
         assert code == 2
         assert "invalid input" in capsys.readouterr().err
 
+    def test_regrouped_fields_name_the_line(self, tmp_path, capsys):
+        # Four fields after the header, but as 3 + 1: not the ids a and c.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,prob\na,0.1,c\n0.2\n", encoding="utf-8")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\na,1\nc,0\n", encoding="utf-8")
+        code = main(["eval", "--combined", str(bad), "--labels", str(labels)])
+        assert code == 2
+        assert "bad.csv:2: expected 2 fields, got 3" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["eval", "--combined", str(tmp_path / "nope.csv"),
                      "--labels", str(tmp_path / "nope2.csv")])

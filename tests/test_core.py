@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predfuse import (AlignmentError, LabelVector, PredictionMatrix,
-                      ProbSeries, ValidationError, accuracy, assign_class,
-                      binary_norm, harden, shifted_sigmoid, sigmoid,
-                      thresholded_distance, thresholded_norm)
+from predfuse import (AlignmentError, CombinerWeights, LabelVector,
+                      PredictionMatrix, ProbSeries, ValidationError, accuracy,
+                      assign_class, binary_norm, core, harden, predict,
+                      shifted_sigmoid, sigmoid, thresholded_distance,
+                      thresholded_norm)
+from predfuse.io_files import (load_label_file, load_prediction_file,
+                               save_label_file, save_prediction_file)
 
 from conftest import make_labels, make_matrix
 
@@ -304,3 +307,52 @@ class TestContainers:
         m = make_matrix([[0.5, 0.6]])
         with pytest.raises(ValueError):
             m.values[0, 0] = 0.2
+
+
+_CONSTRUCTORS = {
+    "LabelVector": lambda ids: LabelVector(ids, [0] * len(ids)),
+    "ProbSeries": lambda ids: ProbSeries(ids, [0.5] * len(ids)),
+    "PredictionMatrix": lambda ids: PredictionMatrix(ids, ("M1",), np.full((len(ids), 1), 0.5)),
+    "LabelVector.restrict": lambda ids: make_labels([0, 1]).restrict(ids),
+    "PredictionMatrix.restrict": lambda ids: make_matrix([[0.5], [0.6]]).restrict(ids),
+}
+
+
+class TestCheckedIds:
+    @pytest.mark.parametrize("build", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS.keys())
+    @pytest.mark.parametrize("kind", [tuple, list])
+    @pytest.mark.parametrize("ids, message", [
+        ((), "sample id set is empty"),
+        (("s0", ""), "sample ids must be non-empty"),
+        (("s1", "s0", "s1"), r"duplicate sample ids: \['s1'\]"),
+    ])
+    def test_plain_sequences_are_checked(self, build, kind, ids, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build(kind(ids))
+
+    def test_checked_ids_are_not_checked_again(self, monkeypatch, tmp_path):
+        checks = []
+        real = core._check_ids
+        monkeypatch.setattr(core, "_check_ids",
+                            lambda ids: checks.append(ids) or real(ids))
+        m = make_matrix([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        labels = make_labels([0, 1, 1])
+        assert len(checks) == 2
+        checks.clear()
+        sub = m.select(["M2", "M1"])
+        col = m.column("M1")
+        scores = predict(CombinerWeights(("M1", "M2"), [1.0, 0.5], 0.2), m)
+        joined = PredictionMatrix.from_columns([("A", col), ("B", scores)])
+        assert labels.align_to(sub.ids).tolist() == [0, 1, 1]
+        assert joined.ids == sub.ids == col.ids == scores.ids == m.ids
+        assert checks == []
+        rm, ru = m.restrict(("s2", "s0")), labels.restrict(["s2", "s0"])
+        assert checks == [("s2", "s0"), ["s2", "s0"]]  # the arguments, once each
+        checks.clear()
+        rm.select(["M1"]).column("M1")
+        rm.restrict(ru.ids)
+        save_prediction_file(tmp_path / "p.csv", col)
+        save_label_file(tmp_path / "l.csv", labels)
+        assert load_prediction_file(tmp_path / "p.csv").ids == m.ids
+        assert load_label_file(tmp_path / "l.csv").ids == m.ids
+        assert checks == []

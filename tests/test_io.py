@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 import os
 import stat
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from predfuse import (CombinerWeights, ConstraintError, LabelVector,
                       PredictionMatrix, ProbSeries, TrainConfig, ValidationError, cross_validate,
                       NNMethod, RunPlan)
+from predfuse import io_files
 from predfuse.combiner import TrainResult
 from predfuse.io_files import (atomic_write_text, load_label_file, load_matrix,
                                load_prediction_file, load_report,
@@ -113,6 +117,151 @@ class TestReaderEdgeCases:
         write(path, "id,prob\na,0.5\n\nb,nan\n")
         with pytest.raises(ValidationError, match=r"bad\.csv:4: probability nan"):
             load_prediction_file(path)
+
+
+# The differential test of the reader: files drawn from ids and values, then
+# mutated towards everything the one-pass path must leave to the row scanner.
+_LIMIT = csv.field_size_limit()
+_PLAIN_IDS = st.text(st.characters(codec="utf-8", exclude_characters=',"\r\n\x00'),
+                     min_size=1, max_size=6)
+_ODD_VALUES = ["nan", "-0", "-0.0", "1e400", "-1e-400", "inf", "0.2_5", "1_0",
+               " 0.5", "0.5 ", "\x0b0.5", "\u0660.\u0665", "\U0001d7ce.\U0001d7d3",
+               "0x1p-1", "+.5", "", "1.0", "01", " 1", "+1", "0", "1", "\u0660"]
+_SNIPPETS = [",", "\n", "\n\n", '"', "\r", "\x00", " ", "_", "\u0665", "\ufeff"]
+_ID_MUTATIONS = {
+    "empty id": lambda sid: "",
+    "long id": lambda sid: "x" * (_LIMIT + 1),  # over csv's field limit
+    "wide id": lambda sid: "\xe9" * _LIMIT,  # within it in characters, not bytes
+    "quoted id": lambda sid: f'"{sid}"',
+    "cr in id": lambda sid: sid + "\r" + sid,
+}
+_ROW_MUTATIONS = (["value"] * 3 + ["header", "duplicate id", "extra field",
+                                   "lone field", "regroup", "split row", "copy row"]
+                  + list(_ID_MUTATIONS))
+
+
+@st.composite
+def _csv_bytes(draw, column):
+    ids = draw(st.lists(_PLAIN_IDS, max_size=8, unique=True))
+    if column == "prob":
+        cells = [repr(v) for v in draw(st.lists(st.floats(0.0, 1.0), min_size=len(ids),
+                                                max_size=len(ids)))]
+    else:
+        cells = [str(v) for v in draw(st.lists(st.integers(0, 1), min_size=len(ids),
+                                               max_size=len(ids)))]
+    rows = [["id", column]] + [[sid, cell] for sid, cell in zip(ids, cells)]
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(1, len(rows) - 1)) if len(rows) > 1 else 0
+        kind = draw(st.sampled_from(_ROW_MUTATIONS))
+        if kind == "value":
+            rows[j][-1] = draw(st.sampled_from(_ODD_VALUES))
+        elif kind == "header":
+            rows[0] = draw(st.sampled_from([["id", "label"], ["id", "prob"], ["ID", column]]))
+        elif kind == "duplicate id":
+            rows[j][0] = rows[draw(st.integers(0, len(rows) - 1))][0]
+        elif kind == "extra field":
+            rows[j].append(draw(st.sampled_from(["", "c"])))
+        elif kind == "lone field":
+            rows[j] = rows[j][:1]
+        elif kind == "regroup" and j + 1 < len(rows):  # 2 + 2 fields as 3 + 1
+            rows[j:j + 2] = [rows[j] + rows[j + 1][:1], rows[j + 1][1:]]
+        elif kind == "split row":  # 2 fields as 1 + 1
+            rows[j:j + 1] = [rows[j][:1], rows[j][1:]]
+        elif kind == "copy row":
+            rows.insert(j, list(rows[j]))
+        elif kind in _ID_MUTATIONS:
+            rows[j][0] = _ID_MUTATIONS[kind](rows[j][0])
+        rows = [row or [""] for row in rows]  # a split can leave a blank line
+    text = "\n".join(",".join(row) for row in rows)
+    text += draw(st.sampled_from(["\n", ""]))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_SNIPPETS)) + text[at:]
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8")
+
+
+def _scanned(data, column):
+    try:
+        return io_files._scan_rows(io.BytesIO(data), "f.csv", column)
+    except ValidationError:
+        return None
+
+
+def _agree(fast, scanned):
+    """The one-pass result is the scanner's: same ids, same value bits."""
+    assert scanned is not None
+    ids, values = fast
+    ref = np.asarray(scanned[1])
+    assert list(ids) == scanned[0]
+    assert values.dtype == ref.dtype and values.tobytes() == ref.tobytes()
+
+
+class TestOnePassParse:
+    @pytest.mark.parametrize("column", ["prob", "label"])
+    @settings(deadline=None)
+    @given(data=st.data(), chunk=st.sampled_from([1, 5, 16, io_files._CHUNK_BYTES]))
+    def test_never_accepts_what_the_scanner_rejects(self, column, data, chunk):
+        raw = data.draw(_csv_bytes(column))
+        with mock.patch.object(io_files, "_CHUNK_BYTES", chunk):  # chunk edges too
+            fast = io_files._parse_plain(io.BytesIO(raw), column)
+        if fast is not None:
+            _agree(fast, _scanned(raw, column))
+
+    @pytest.mark.parametrize("text", [
+        "id,prob\na,0.25\nb,1\n",
+        "\ufeffid,prob\na,0.25\nb,1\n",       # BOM
+        "id,prob\na,0.25\nb,1",               # no final newline
+        "id,prob\n a ,0.2_5\n\u00e9,-0\nc, 0.5\n",
+        "id,prob\nx,\u0660.\u0665\ny,1e-400\nz,\x0b1\n",
+        "id,prob\n" + "x" * _LIMIT + ",0.5\n",  # a field right at the limit
+    ])
+    def test_plain_files_take_the_one_pass_path(self, text):
+        raw = text.encode("utf-8")
+        fast = io_files._parse_plain(io.BytesIO(raw), "prob")
+        assert fast is not None
+        _agree(fast, _scanned(raw, "prob"))
+
+    @pytest.mark.parametrize("text", [
+        "id,prob\na,0.1,c\n0.2\n",            # an even token count, a row of 3 fields
+        "id,prob\na\n0.1\nc,0.2\n",           # the same, as rows of 1, 1 and 2 fields
+        "id,prob\na,0.5\n\nb,0.5\n",          # a blank line
+        "id,prob\na,0.5\n\n",                 # two final newlines
+        '"id",prob\na,0.5\n',
+        "id,prob\r\na,0.5\r\n",
+        "id,prob\na\x00b,0.5\n",              # csv reads NUL on 3.11, not on 3.10
+        "id,prob\n",
+        "id,label\na,0.5\n",
+        'id,prob\n"a",0.5\n',                 # a quoted id
+        "id,prob\na\rb,0.5\n",                # csv ends a row at a lone \r
+        "id,prob\na,nan\n",
+        "id,prob\na,1.5\n",
+    ])
+    def test_other_files_go_to_the_scanner(self, text):
+        assert io_files._parse_plain(io.BytesIO(text.encode()), "prob") is None
+
+    @pytest.mark.parametrize("label", ["2", " 1", "1.0", "01", "+1", "\u0661", ""])
+    def test_other_labels_go_to_the_scanner(self, label):
+        raw = f"id,label\na,0\nb,{label}\n".encode()
+        assert io_files._parse_plain(io.BytesIO(raw), "label") is None
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("text, ids", [("id,prob\na,0.5\n", ("a",)),
+                                           ('id,prob\n"a,b",0.5\n', ("a,b",))])
+    def test_a_pipe_is_read_either_way(self, text, ids):
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        try:
+            assert load_prediction_file(f"/dev/fd/{r}").ids == ids
+        finally:
+            os.close(r)
+
+    def test_labels_take_the_one_pass_path(self):
+        raw = b"id,label\nb,1\na,0\n"
+        fast = io_files._parse_plain(io.BytesIO(raw), "label")
+        assert fast is not None and fast[1].dtype == np.int64
+        _agree(fast, _scanned(raw, "label"))
 
 
 class TestPredictionFiles:
