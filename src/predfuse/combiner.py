@@ -17,6 +17,12 @@ one ``(R, K+1)`` array under one ADAM, each run draws its own minibatches
 with its own seed, and every run keeps the bits it would have alone.
 :func:`train` is the case R = 1; :func:`train_runs` fits many seeds and
 folds at once, as cross-validation does.
+
+A step is a few dozen numpy calls on arrays of a few dozen elements, so
+their fixed cost is the step's cost.  The loop therefore allocates every
+buffer once per batch shape, gathers each minibatch into one, updates the
+parameters and ADAM's moments in place, and checks finiteness with one
+reduction per step, on the -|z| the sigmoid kernel computes anyway.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (LabelVector, PredictionMatrix, ProbSeries, check_seed,
+from .core import (_SIGMOID_NOT_FINITE, LabelVector, PredictionMatrix,
+                   ProbSeries, _sigmoid, _SigmoidBuffers, check_seed,
                    check_threshold, sigmoid)
 from .errors import ConstraintError, ValidationError
 from .optim import Adam
@@ -158,23 +165,55 @@ def gradient(weights: CombinerWeights, matrix: PredictionMatrix,
              labels: LabelVector, l2: float = TrainConfig.l2) -> np.ndarray:
     """Analytic gradient of :func:`loss`, length K+1: d/dw_1..K then d/db."""
     x, u = _training_arrays(matrix.select(weights.model_names), labels)
-    return _gradient(weights.w[None], np.array([weights.b]), x[None], u[None],
-                     float(l2))[0]
+    return _gradient(weights.w[None, :, None], np.array([[weights.b]]), x[None],
+                     u[None], float(l2))[0]
 
 
 def _gradient(w: np.ndarray, b: np.ndarray, x: np.ndarray, u: np.ndarray,
-              l2: float) -> np.ndarray:
-    """Gradient of :func:`loss` for R runs at once: weights (R, K), shifts
-    (R,), minibatches x (R, B, K) and u (R, B); returns (R, K+1).
+              l2: float, out: "_StepBuffers | None" = None) -> np.ndarray:
+    """Gradient of :func:`loss` for R runs at once: weight columns (R, K, 1),
+    shifts (R, 1), minibatches x (R, B, K) and u (R, B); returns (R, K+1).
 
     Batched ``@`` makes the same BLAS matrix-vector call per run that a lone
     run makes, so each run keeps its bits; ``einsum`` sums in another order.
+    ``out`` holds the buffers of a training loop, built for this ``x``, and
+    the result is one of them; without it they are allocated.  A non-finite
+    sigmoid input raises.
     """
-    n = u.shape[1]
-    resid = sigmoid((x @ w[:, :, None])[:, :, 0] - b[:, None]) - u
-    gw = (x.transpose(0, 2, 1) @ resid[:, :, None])[:, :, 0] / n + 2.0 * l2 * w
-    # sum / -n has the bits of -mean, and costs less than mean(axis=1)
-    return np.concatenate([gw, (resid.sum(axis=1) / -n)[:, None]], axis=1)
+    buf = _StepBuffers(x) if out is None else out
+    np.matmul(x, w, out=buf.z3)
+    resid = _sigmoid(np.subtract(buf.z, b, out=buf.z), buf.sig)
+    # -|z| is NaN or -inf exactly where z is not finite
+    if not np.minimum.reduce(buf.sig.neg_abs, axis=None) > -np.inf:
+        raise ValidationError(_SIGMOID_NOT_FINITE)
+    np.subtract(resid, u, out=resid)
+    np.matmul(buf.xt, buf.resid3, out=buf.gw)
+    np.add.reduce(resid, axis=1, out=buf.gb)
+    # d/dw: sum / n; d/db: sum / -n, which has the bits of -mean
+    grad = np.divide(buf.grad, buf.scale, out=buf.grad)
+    np.add(buf.gw, np.multiply(w, 2.0 * l2, out=buf.l2w), out=buf.gw)
+    return grad
+
+
+class _StepBuffers:
+    """Preallocated intermediates of :func:`_gradient` for the minibatch
+    array ``x`` (R, B, K), which a training loop gathers each step into.
+
+    Views are made once, and every operand has the full shape of its
+    operation: numpy's per-call cost dominates at these sizes.
+    """
+
+    def __init__(self, x: np.ndarray):
+        r, n, k = x.shape
+        self.x, self.xt = x, x.transpose(0, 2, 1)
+        self.z3 = np.empty((r, n, 1))
+        self.z = self.z3[:, :, 0]
+        self.sig = _SigmoidBuffers((r, n), np.empty((r, n)))
+        self.resid3 = self.sig.out[:, :, None]
+        self.grad = np.empty((r, k + 1))
+        self.gw, self.gb = self.grad[:, :k, None], self.grad[:, k]
+        self.l2w = np.empty((r, k, 1))
+        self.scale = np.tile(np.append(np.full(k, float(n)), -float(n)), (r, 1))
 
 
 def _fold_arrays(matrix: PredictionMatrix, labels: LabelVector
@@ -275,33 +314,53 @@ def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
     all of a run's weights, and only in the runs that had one below it,
     exactly as a lone run would be.  ``callback(step, w, b)`` sees the first
     run.  Returns w (R, K), b (R,) and the clipped flags (R,).
+
+    Each step gathers its minibatch into buffers allocated once per batch
+    shape and updates the parameters in place.  A step that overflows
+    yields inf or NaN without a numpy warning, and the next step's one
+    finiteness reduction turns that into ``ValidationError``.
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ValidationError("runs trained in lock step must share every "
                               "hyperparameter but the seed")
     f, n, k = x.shape
-    x, u = x.reshape(f * n, k), u.reshape(f * n)  # one copy per fold, not per run
-    fold = np.arange(len(cfgs)) if fold is None else fold
+    r = len(cfgs)
+    # one copy per fold, not per run; 0/1 labels are exact in float64
+    x, u = x.reshape(f * n, k), np.asarray(u, dtype=np.float64).reshape(f * n)
+    fold = np.arange(r) if fold is None else fold
     base = fold[:, None] * n
     rngs = [np.random.Generator(np.random.PCG64(c.seed)) for c in cfgs]
-    params = np.tile(np.append(w, b), (len(cfgs), 1))
+    params = np.tile(np.append(w, b), (r, 1))
     opt = Adam(params.shape, lr=cfg.learning_rate)
     w, b = params[:, :k], params[:, k]
-    clipped = np.zeros(len(cfgs), dtype=bool)
-    for _ in range(cfg.epochs):
-        if cfg.shuffle_each_epoch:
-            order = np.stack([rng.permutation(n) for rng in rngs]) + base
-        else:
-            order = np.arange(n) + base
-        for start in range(0, n, cfg.batch_size):
-            idx = order[:, start:start + cfg.batch_size]
-            params = opt.step(params, _gradient(w, b, x[idx], u[idx], cfg.l2))
-            w, b = params[:, :k], params[:, k]
-            if (w < floor).any():
-                low = (w < floor).any(axis=1)
-                clipped |= low
-                w[low] = np.maximum(w[low], floor)
-            if callback is not None:
-                callback(opt.t, w[0], float(b[0]))
+    columns, shifts = params[:, :k, None], params[:, k:]
+    clipped = np.zeros(r, dtype=bool)
+    # Per epoch each run's shuffled labels are gathered once (n floats);
+    # x is gathered per step, as a copy of the text model's design matrix
+    # per epoch would cost more than it saves.
+    order, shuffled_u = np.arange(n) + base, np.empty((r, n))
+    size, starts = cfg.batch_size, range(0, n, cfg.batch_size)
+    buffers = {m: _StepBuffers(np.empty((r, m, k)))
+               for m in {min(size, n - start) for start in starts}}
+    batches = [(order[:, start:start + size], shuffled_u[:, start:start + size],
+                buffers[min(size, n - start)]) for start in starts]
+    clip = floor > -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            if cfg.shuffle_each_epoch:
+                np.add(np.stack([rng.permutation(n) for rng in rngs]), base,
+                       out=order)
+            # mode "clip": the indices are in range, and "raise" would
+            # gather through a temporary copy of ``out``
+            u.take(order, out=shuffled_u, mode="clip")
+            for idx, ub, buf in batches:
+                x.take(idx, axis=0, out=buf.x, mode="clip")
+                opt.step(params, _gradient(columns, shifts, buf.x, ub, cfg.l2, buf))
+                if clip and np.fmin.reduce(w, axis=None) < floor:
+                    low = (w < floor).any(axis=1)
+                    clipped |= low
+                    w[low] = np.maximum(w[low], floor)
+                if callback is not None:
+                    callback(opt.t, w[0], float(b[0]))
     return w, b, clipped

@@ -234,17 +234,33 @@ class PredictionMatrix:
 
     def select(self, names) -> "PredictionMatrix":
         """Sub-matrix with the given model columns, in the given order."""
-        names = [str(n) for n in names]
+        names = tuple(str(n) for n in names)
         if not names:
             raise ValidationError("model subset is empty")
         cols = [self._col(n) for n in names]
-        return PredictionMatrix(self.ids, tuple(names), self.values[:, cols])
+        if len(set(names)) != len(names):
+            raise ValidationError("model names must be unique")
+        if names == self.model_names:
+            return self
+        return self._of_checked(self.ids, names, self.values.take(cols, axis=1))
 
     def restrict(self, ids) -> "PredictionMatrix":
         """Sub-matrix with the given sample ids, in the given order."""
         ids = _as_ids(ids)
         rows = _rows_of(self.ids, ids, "matrix has no sample id")
-        return PredictionMatrix(ids, self.model_names, self.values[rows])
+        return self._of_checked(ids, self.model_names, self.values[rows])
+
+    @classmethod
+    def _of_checked(cls, ids: SampleIds, names: tuple[str, ...],
+                    values: np.ndarray) -> "PredictionMatrix":
+        """A matrix from checked parts, ``values`` a fresh C-ordered array of
+        checked probabilities: nothing is checked or copied again."""
+        out = object.__new__(cls)
+        for name, value in (("ids", ids), ("model_names", names),
+                            ("values", values)):
+            object.__setattr__(out, name, value)
+        values.setflags(write=False)
+        return out
 
     def _col(self, name: str) -> int:
         try:
@@ -258,14 +274,46 @@ class PredictionMatrix:
 # --- scalar / vector arithmetic ------------------------------------------
 
 
+_SIGMOID_NOT_FINITE = "sigmoid input must be finite"
+
+
 def sigmoid(x):
     """Logistic function 1 / (1 + e^-x), elementwise, stable for large |x|."""
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
-        raise ValidationError("sigmoid input must be finite")
-    e = np.exp(-np.abs(x))  # in [0, 1], so nothing overflows
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)  # 1/(1+e^-x), or e^x/(1+e^x)
-    return float(out) if out.ndim == 0 else out
+        raise ValidationError(_SIGMOID_NOT_FINITE)
+    x1 = np.atleast_1d(x)
+    buf = _SigmoidBuffers(x1.shape, np.empty_like(x1), keep_neg_abs=False)
+    out = _sigmoid(x1, buf)
+    return float(out[0]) if x.ndim == 0 else out
+
+
+class _SigmoidBuffers:
+    """Work arrays of :func:`_sigmoid` for one shape, views made once.
+
+    Without ``keep_neg_abs`` the exponentials overwrite their arguments,
+    which saves two arrays the size of the input.
+    """
+
+    def __init__(self, shape, out: np.ndarray, keep_neg_abs: bool = True):
+        self.pair = np.empty((2, *shape))
+        self.exps = np.empty((2, *shape)) if keep_neg_abs else self.pair
+        self.neg_abs, self.low = self.pair
+        self.e_abs, self.e_low = self.exps
+        self.out = out
+
+
+def _sigmoid(x: np.ndarray, buf: _SigmoidBuffers) -> np.ndarray:
+    """Unchecked kernel of :func:`sigmoid`: the result goes to ``buf.out``.
+
+    ``buf.neg_abs`` keeps -|x|, which is NaN or -inf exactly where ``x`` is
+    not finite, for a caller that checks after the fact.
+    """
+    np.copysign(x, -1.0, out=buf.neg_abs)
+    np.minimum(x, 0.0, out=buf.low)  # -|x| where x < 0, else 0
+    np.exp(buf.pair, out=buf.exps)  # both in [0, 1], so nothing overflows
+    den = np.add(buf.e_abs, 1.0, out=buf.e_abs)
+    return np.divide(buf.e_low, den, out=buf.out)  # 1/(1+e^-x), or e^x/(1+e^x)
 
 
 def shifted_sigmoid(score, b: float):

@@ -137,8 +137,8 @@ def generate(spec: SyntheticSpec) -> tuple[LabelVector, PredictionMatrix]:
     z = mu[None, :] * s[:, None] + math.sqrt(spec.rho) * g[:, None] \
         + math.sqrt(1.0 - spec.rho) * e
     probs = sigmoid(spec.sharpness * z)
-    return (LabelVector(ids, u),
-            PredictionMatrix(ids, spec.model_names, probs))
+    labels = LabelVector(ids, u)
+    return labels, PredictionMatrix(labels.ids, spec.model_names, probs)
 
 
 def estimate_error_correlation(matrix: PredictionMatrix,

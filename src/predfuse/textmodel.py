@@ -5,6 +5,8 @@ desk scale: lowercase tokens, multi-hot presence encoding over a top-V
 vocabulary, and a logistic layer trained through the prediction combiner's
 minibatch-ADAM loop, kernels and hyperparameter checks (``TrainConfig``),
 with unconstrained weights, no L2, and bias = -b in sigmoid(x @ w - b).
+The vocabulary maps each token to its column once, so encoding a corpus
+sets each document's present columns, with no loop over the vocabulary.
 
 Corpus format: one document per line; labels in a CSV aligned by 0-based
 line number.
@@ -37,12 +39,15 @@ def tokenize(doc: str) -> list[str]:
 @dataclass(frozen=True)
 class Vocabulary:
     tokens: tuple[str, ...]
+    _columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.tokens:
             raise ValidationError("vocabulary is empty")
-        if len(set(self.tokens)) != len(self.tokens):
+        columns = {tok: col for col, tok in enumerate(self.tokens)}
+        if len(columns) != len(self.tokens):
             raise ValidationError("vocabulary tokens must be unique")
+        object.__setattr__(self, "_columns", columns)
 
     @property
     def size(self) -> int:
@@ -71,8 +76,19 @@ def build_vocab(corpus, v_size: int) -> Vocabulary:
 
 def encode(doc: str, vocab: Vocabulary) -> np.ndarray:
     """Multi-hot presence vector; repeats count once, unknown tokens drop."""
-    present = set(tokenize(doc))
-    return np.array([1.0 if tok in present else 0.0 for tok in vocab.tokens])
+    return _encode_rows([doc], vocab)[0]
+
+
+def _encode_rows(docs, vocab: Vocabulary) -> np.ndarray:
+    """The (n, V) matrix of the documents' presence vectors."""
+    column, rows, cols = vocab._columns, [], []
+    for row, doc in enumerate(docs):
+        present = {column[t] for t in tokenize(doc) if t in column}
+        rows.extend([row] * len(present))
+        cols.extend(present)
+    x = np.zeros((len(docs), vocab.size))
+    x[rows, cols] = 1.0
+    return x
 
 
 def predict_proba(model: LogisticModel, doc: str) -> float:
@@ -88,7 +104,8 @@ def logistic_loss(w: np.ndarray, bias: float, x: np.ndarray,
 def logistic_gradient(w: np.ndarray, bias: float, x: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`logistic_loss`, weights first then bias."""
-    grad = _gradient(w[None], np.array([-bias]), x[None], u[None], 0.0)[0]
+    grad = _gradient(w[None, :, None], np.array([[-bias]]), x[None], u[None],
+                     0.0)[0]
     grad[-1] = -grad[-1]
     return grad
 
@@ -106,7 +123,7 @@ def train_logistic(docs, labels, v_size: int, epochs: int = TrainConfig.epochs,
     cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch_size,
                       l2=0.0, seed=seed)
     vocab = build_vocab(docs, v_size)
-    x = np.stack([encode(d, vocab) for d in docs])
+    x = _encode_rows(docs, vocab)
     w, b, _ = _fit(x[None], u[None], np.zeros(vocab.size), 0.0, [cfg], -np.inf)
     w = w[0]
     w.setflags(write=False)

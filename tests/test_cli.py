@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import predfuse
 from predfuse import evaluate, io_files
 from predfuse.cli import _grid, main
 from predfuse.evaluate import parse_report
@@ -376,6 +381,40 @@ class TestRejectedAtConfig:
         err = capsys.readouterr().err
         assert err.startswith("predfuse: invalid input:")
         assert culprit in err
+
+
+class TestDivergence:
+    """Training that overflows: the exit code, the message and the weights
+    file are pinned, and numpy's overflow warnings never reach the user."""
+
+    @staticmethod
+    def run(tmp_path, *flags):
+        suite = tmp_path / "suite"
+        assert main(["synth", "--models", "2", "--acc", "0.7,0.9", "--n", "120",
+                     "--seed", "3", "--out", str(suite)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(predfuse.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "predfuse", "train-nn",
+             "--preds", str(suite / "M1.csv"), str(suite / "M2.csv"),
+             "--labels", str(suite / "labels.csv"), "--epochs", "3",
+             "--seed", "1", *flags, "--out", str(tmp_path / "w.json")],
+            env=env, capture_output=True, text=True)
+
+    def test_huge_learning_rate_exits_2(self, tmp_path):
+        proc = self.run(tmp_path, "--lr", "1e300")
+        assert proc.returncode == 2
+        assert proc.stderr == "predfuse: invalid input: sigmoid input must be finite\n"
+        assert not (tmp_path / "w.json").exists()
+
+    def test_huge_l2_leaves_the_weights_where_they_start(self, tmp_path):
+        # v overflows to inf, so every weight step is lr * m / inf = 0; the
+        # shift, which carries no L2, still trains.
+        proc = self.run(tmp_path, "--l2", "1e200")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        weights = tmp_path / "w.json"
+        assert json.loads(read(weights))["weights"] == [0.5, 0.5]
+        assert hashlib.sha256(weights.read_bytes()).hexdigest() == (
+            "53e66976aca9aa66973327fac5fca6668cb6076e1a234c3bdcf0afcb740f38bd")
 
 
 class TestCheckBound:

@@ -69,6 +69,15 @@ class TestSigmoid:
             assert isinstance(got, float)
             assert np.float64(got).tobytes() == self.two_branch(x).tobytes()
 
+    def test_kernel_into_buffers_has_the_same_bits(self, rng):
+        # the training loop's path: buffers allocated once, reused
+        x = rng.normal(0.0, 20.0, (3, 32))
+        buf = core._SigmoidBuffers(x.shape, np.empty(x.shape))
+        for scale in (1.0, 1e-3, 40.0):
+            assert core._sigmoid(x * scale, buf) is buf.out
+            assert buf.out.tobytes() == self.two_branch(x * scale).tobytes()
+            assert buf.neg_abs.tobytes() == (-np.abs(x * scale)).tobytes()
+
 
 class TestShiftedSigmoid:
     def test_zero_argument(self):
@@ -329,6 +338,22 @@ class TestCheckedIds:
     def test_plain_sequences_are_checked(self, build, kind, ids, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             build(kind(ids))
+
+    def test_selected_and_restricted_values_are_not_checked_again(self, monkeypatch):
+        m = make_matrix([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        calls = []
+        monkeypatch.setattr(core, "check_probs", lambda v: calls.append(v) or v)
+        sub, rows = m.select(["M3", "M1"]), m.restrict(["s1"])
+        assert calls == []
+        assert (sub.ids, sub.model_names) == (m.ids, ("M3", "M1"))
+        assert sub.values.tolist() == [[0.3, 0.1], [0.6, 0.4]]
+        assert (rows.ids, rows.values.tolist()) == (("s1",), [[0.4, 0.5, 0.6]])
+        for part in (sub, rows):
+            assert part.values.flags.c_contiguous
+            assert not part.values.flags.writeable
+        assert m.select(("M1", "M2", "M3")) is m
+        with pytest.raises(ValidationError, match="^model names must be unique$"):
+            m.select(["M1", "M1"])
 
     def test_checked_ids_are_not_checked_again(self, monkeypatch, tmp_path):
         checks = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from predfuse import (ValidationError, accuracy, harden,
+from predfuse import (ValidationError, accuracy, core, harden,
                       estimate_error_correlation, generate, inv_norm_cdf)
 from predfuse.synth import SyntheticSpec
 
@@ -78,6 +78,16 @@ class TestGenerate:
         assert la.ids == lb.ids
         np.testing.assert_array_equal(la.values, lb.values)
         np.testing.assert_array_equal(ma.values, mb.values)
+
+    def test_ids_checked_once(self, monkeypatch):
+        checks = []
+        real = core._check_ids
+        monkeypatch.setattr(core, "_check_ids",
+                            lambda ids: checks.append(ids) or real(ids))
+        labels, matrix = generate(SyntheticSpec(k=2, target_acc=(0.7, 0.8),
+                                                n=12, seed=1))
+        assert len(checks) == 1
+        assert matrix.ids is labels.ids
 
     def test_coin_flip_target(self):
         labels, m = generate(SyntheticSpec(k=1, target_acc=(0.5,), n=20_000,

@@ -2,11 +2,20 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from predfuse.errors import ValidationError
-from predfuse.textmodel import (LogisticModel, Vocabulary, build_vocab, encode,
-                                load_corpus, logistic_gradient, logistic_loss,
+from predfuse.textmodel import (LogisticModel, Vocabulary, _encode_rows,
+                                build_vocab, encode, load_corpus,
+                                logistic_gradient, logistic_loss,
                                 predict_proba, tokenize, train_logistic)
+
+_TOKENS = ["good", "bad", "film", "plot", "x1", "the", "a9"]
+# pieces of documents: vocabulary words in any case, unknown words, and
+# punctuation, digits and non-ASCII letters, which the tokenizer splits on
+_PIECES = st.one_of(
+    st.sampled_from(_TOKENS + ["Good", "BAD", "Film!", "plot,plot", "unknown"]),
+    st.text(alphabet="aBx19 ,.!-_\té", max_size=12))
 
 
 class TestTokenizeAndVocab:
@@ -38,6 +47,27 @@ class TestEncode:
     def test_unknown_tokens_ignored(self):
         vocab = Vocabulary(("y", "z"))
         np.testing.assert_array_equal(encode("x y", vocab), [1.0, 0.0])
+
+
+class TestEncodeRows:
+    """The column-indexed encoder against the presence-vector definition."""
+
+    @staticmethod
+    def presence(doc, vocab):
+        present = set(tokenize(doc))
+        return [1.0 if tok in present else 0.0 for tok in vocab.tokens]
+
+    @given(st.lists(st.lists(_PIECES, max_size=8).map(" ".join), max_size=6),
+           st.lists(st.sampled_from(_TOKENS), min_size=1, unique=True))
+    def test_matches_the_definition(self, docs, tokens):
+        vocab = Vocabulary(tuple(tokens))
+        want = np.array([self.presence(d, vocab) for d in docs],
+                        dtype=np.float64).reshape(len(docs), vocab.size)
+        got = _encode_rows(docs, vocab)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        for doc, row in zip(docs, want):
+            assert encode(doc, vocab).tobytes() == row.tobytes()
 
 
 class TestTrain:
@@ -84,6 +114,14 @@ class TestTrain:
             "7147226ab6d24f827cd77b9540ea0f8c56c541b87a6e17434803e724c2323c75")
         assert model.bias.hex() == "0x1.1dfee0c450112p-1"
         assert not model.weights.flags.writeable
+
+    def test_diverging_fit_is_a_validation_error(self):
+        # lr near the float64 maximum drives the weights to inf within a few
+        # epochs; the next step's finiteness check stops it.
+        docs = ["good film", "bad film", "good plot twist", "plot was bad"]
+        with pytest.raises(ValidationError, match="^sigmoid input must be finite$"):
+            train_logistic(docs, [1, 0, 1, 0], v_size=5, epochs=20, lr=1e308,
+                           seed=0)
 
     @pytest.mark.parametrize("kwargs, culprit", [
         ({"seed": -1}, "seed"),
