@@ -16,7 +16,8 @@ The loop advances R independent runs in lock step: their parameters form
 one ``(R, K+1)`` array under one ADAM, each run draws its own minibatches
 with its own seed, and every run keeps the bits it would have alone.
 :func:`train` is the case R = 1; :func:`train_runs` fits many seeds and
-folds at once, as cross-validation does.
+folds at once, as cross-validation does, through the same private code.
+:func:`predict` does not recheck its output: a sigmoid is a probability.
 
 A step is a few dozen numpy calls on arrays of a few dozen elements, so
 their fixed cost is the step's cost.  The loop therefore allocates every
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (_SIGMOID_NOT_FINITE, LabelVector, PredictionMatrix,
-                   ProbSeries, _sigmoid, _SigmoidBuffers, check_seed,
-                   check_threshold, sigmoid)
+                   ProbSeries, _of_checked, _sigmoid, _SigmoidBuffers,
+                   check_seed, check_threshold, sigmoid)
 from .errors import ConstraintError, ValidationError
 from .optim import Adam
 
@@ -132,7 +133,7 @@ def predict(weights: CombinerWeights, matrix: PredictionMatrix) -> ProbSeries:
     or list them in a different order.
     """
     sub = matrix.select(weights.model_names)
-    return ProbSeries(sub.ids, _forward_rows(weights, sub.values))
+    return _of_checked(ProbSeries, sub.ids, _forward_rows(weights, sub.values))
 
 
 def _forward_rows(weights: CombinerWeights, x: np.ndarray) -> np.ndarray:
@@ -226,18 +227,6 @@ def _fold_arrays(matrix: PredictionMatrix, labels: LabelVector
     return x, u, bool((u == u[0]).all())
 
 
-def _result(names, w: np.ndarray, b: float, clipped: bool, cfg: TrainConfig,
-            t: float, degenerate: bool) -> TrainResult:
-    return TrainResult(weights=CombinerWeights(names, w, b, t), config=cfg,
-                       clipped_any=bool(clipped), degenerate_labels=degenerate)
-
-
-def _start(k: int) -> tuple[np.ndarray, float]:
-    # The uninformative point: equal weights, shift at the centre of the
-    # initial score range, so the initial forward is ~0.5.
-    return np.full(k, 1.0 / k), 0.5
-
-
 def train(matrix: PredictionMatrix, labels: LabelVector,
           cfg: TrainConfig = TrainConfig(), t: float = 0.5,
           callback=None) -> TrainResult:
@@ -257,11 +246,7 @@ def train(matrix: PredictionMatrix, labels: LabelVector,
     TrainResult with the final weights (all >= 0), whether any update was
     clipped back to zero, and whether the labels were single-class.
     """
-    x, u, degenerate = _fold_arrays(matrix, labels)
-    w, b, clipped = _fit(x[None], u[None], *_start(x.shape[1]), [cfg], 0.0,
-                         callback=callback)
-    return _result(matrix.model_names, w[0], b[0], clipped[0], cfg, t,
-                   degenerate)
+    return _train([(matrix, labels)], [(0, cfg)], t, callback)[0]
 
 
 def train_runs(folds, runs, t: float = 0.5) -> list[TrainResult]:
@@ -280,6 +265,12 @@ def train_runs(folds, runs, t: float = 0.5) -> list[TrainResult]:
     ``train(*folds[f], cfg, t)``.  Runs on folds of one row count share one
     minibatch-ADAM loop, so folds that differ by a row make two loops.
     """
+    return _train(folds, runs, t)
+
+
+def _train(folds, runs, t: float, callback=None) -> list[TrainResult]:
+    """The body of :func:`train_runs` and of :func:`train`, whose traced span
+    then holds its own ADAM steps; ``callback`` sees each group's first run."""
     arrays = [_fold_arrays(m, labels) for m, labels in folds]
     names = folds[0][0].model_names if arrays else ()
     if any(m.model_names != names for m, _ in folds):
@@ -293,11 +284,15 @@ def train_runs(folds, runs, t: float = 0.5) -> list[TrainResult]:
         u = np.stack([arrays[f][1] for f in used])
         slot = np.array([used.index(runs[i][0]) for i in members], dtype=np.intp)
         cfgs = [runs[i][1] for i in members]
-        w, b, clipped = _fit(x, u, *_start(len(names)), cfgs, 0.0, fold=slot)
+        # The uninformative start: equal weights, shift at the centre of the
+        # initial score range, so the initial forward is ~0.5.
+        w, b, clipped = _fit(x, u, np.full(len(names), 1.0 / len(names)), 0.5,
+                             cfgs, 0.0, fold=slot, callback=callback)
         for j, i in enumerate(members):
             f, cfg = runs[i]
-            results[i] = _result(names, w[j], b[j], clipped[j], cfg, t,
-                                 arrays[f][2])
+            results[i] = TrainResult(
+                weights=CombinerWeights(names, w[j], b[j], t), config=cfg,
+                clipped_any=bool(clipped[j]), degenerate_labels=arrays[f][2])
     return results
 
 

@@ -5,10 +5,10 @@ Everything downstream works on three value types: a labelled sample set
 (:class:`ProbSeries`), and K named columns sharing one id set
 (:class:`PredictionMatrix`).  Alignment is always by sample id, never by row
 order, so files may list samples in any order without silently misjoining.
-Ids are checked once (strings, non-empty, unique) when a value is built
-from a plain sequence; the checked tuple, a private ``SampleIds``, then
-passes unchecked through ``select``, ``column``, ``restrict`` and every
-constructor, and the file reader builds one from the checks it made itself.
+Ids and values are checked once: a public constructor checks plain ids
+(strings, non-empty, unique; a private ``SampleIds`` passes) and the values,
+and ``select``, ``column``, ``restrict``, the file reader, ``predict`` and
+``apply_rule`` build from checked parts through the private ``_of_checked``.
 
 The norm operations harden a real-valued series with the ``>= t`` rule first
 and then take the Euclidean norm of the resulting 0/1 vector.  They accept
@@ -103,6 +103,23 @@ def _rows_of(ids: tuple[str, ...], wanted, missing: str) -> np.ndarray:
         raise AlignmentError(f"{missing} {exc.args[0]!r}") from None
 
 
+def _of_checked(cls, ids: SampleIds, values: np.ndarray, **fields):
+    """A ``cls`` value from checked parts, none checked or copied again:
+    ``values`` holds what the constructor would store, and becomes read-only."""
+    out = object.__new__(cls)
+    for name, value in (("ids", ids), ("values", values), *fields.items()):
+        object.__setattr__(out, name, value)
+    values.setflags(write=False)
+    return out
+
+
+def _restrict(value, ids, missing: str, **fields):
+    """``value`` with the given sample ids, in the given order."""
+    ids = _as_ids(ids)
+    rows = _rows_of(value.ids, ids, missing)
+    return _of_checked(type(value), ids, value.values[rows], **fields)
+
+
 @dataclass(frozen=True)
 class LabelVector:
     """Binary ground-truth labels keyed by sample id."""
@@ -130,9 +147,7 @@ class LabelVector:
 
     def restrict(self, ids) -> "LabelVector":
         """Sub-vector with the given sample ids, in the given order."""
-        ids = _as_ids(ids)
-        rows = _rows_of(self.ids, ids, "labels have no sample id")
-        return LabelVector(ids, self.values[rows])
+        return _restrict(self, ids, "labels have no sample id")
 
 
 @dataclass(frozen=True)
@@ -227,10 +242,7 @@ class PredictionMatrix:
         return len(self.model_names)
 
     def column(self, name: str) -> ProbSeries:
-        return ProbSeries(self.ids, self.values[:, self._col(name)])
-
-    def column_values(self, name: str) -> np.ndarray:
-        return self.values[:, self._col(name)]
+        return _of_checked(ProbSeries, self.ids, self.values[:, self._col(name)])
 
     def select(self, names) -> "PredictionMatrix":
         """Sub-matrix with the given model columns, in the given order."""
@@ -242,25 +254,13 @@ class PredictionMatrix:
             raise ValidationError("model names must be unique")
         if names == self.model_names:
             return self
-        return self._of_checked(self.ids, names, self.values.take(cols, axis=1))
+        return _of_checked(PredictionMatrix, self.ids,
+                           self.values.take(cols, axis=1), model_names=names)
 
     def restrict(self, ids) -> "PredictionMatrix":
         """Sub-matrix with the given sample ids, in the given order."""
-        ids = _as_ids(ids)
-        rows = _rows_of(self.ids, ids, "matrix has no sample id")
-        return self._of_checked(ids, self.model_names, self.values[rows])
-
-    @classmethod
-    def _of_checked(cls, ids: SampleIds, names: tuple[str, ...],
-                    values: np.ndarray) -> "PredictionMatrix":
-        """A matrix from checked parts, ``values`` a fresh C-ordered array of
-        checked probabilities: nothing is checked or copied again."""
-        out = object.__new__(cls)
-        for name, value in (("ids", ids), ("model_names", names),
-                            ("values", values)):
-            object.__setattr__(out, name, value)
-        values.setflags(write=False)
-        return out
+        return _restrict(self, ids, "matrix has no sample id",
+                         model_names=self.model_names)
 
     def _col(self, name: str) -> int:
         try:

@@ -81,7 +81,7 @@ def confidence(p: float) -> float:
 
 
 def _decision_arrays(cfg_base: str, cfg_aux, rule: str, matrix: PredictionMatrix):
-    base_p = matrix.column_values(cfg_base)
+    base_p = matrix.column(cfg_base).values
     conf = np.maximum(base_p, 1.0 - base_p)
     base_lab = harden(base_p, 0.5)
     aux_scores, aux_lab = rule_scores(rule, matrix.select(cfg_aux).values)

@@ -10,7 +10,7 @@ A plain prediction or label CSV (no quotes, ``\\r`` or NUL, one comma on
 every line) is parsed in one pass over its bytes.  Every file that pass
 declines is read again by the ``csv`` row scanner, which decides it, so
 every error, with its ``file:line``, is the scanner's.  Either way the ids
-come back checked.
+and values come back checked, and the loaders check neither again.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .combiner import CombinerWeights, TrainConfig, TrainResult
-from .core import LabelVector, PredictionMatrix, ProbSeries, SampleIds
+from .core import LabelVector, PredictionMatrix, ProbSeries, SampleIds, _of_checked
 from .errors import ValidationError
 from .evaluate import EvalReport, parse_report, report_render
 
@@ -100,7 +100,7 @@ def _read_csv(path, column: str) -> tuple[SampleIds, np.ndarray]:
             return parsed
         src.seek(0)
         ids, values = _scan_rows(src, path, column)
-    return SampleIds(ids), np.asarray(values)
+    return SampleIds(ids), np.asarray(values, dtype=_COLUMNS[column][3])
 
 
 def _parse_plain(fh, column: str):
@@ -151,7 +151,7 @@ def _scan_rows(fh, path, column: str) -> tuple[list[str], list]:
     """The row scanner: ids and parsed values of any ``id,<column>`` CSV
     that ``csv`` reads from binary ``fh``, a bad row reported as
     ``file:line: reason``.  A UTF-8 BOM before the header is skipped."""
-    parse, _, noun = _COLUMNS[column]
+    parse, _, noun, _ = _COLUMNS[column]
     with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text:
         reader = csv.reader(text)
         try:
@@ -247,9 +247,9 @@ def _labels(raws: list[str]) -> np.ndarray | None:
 
 
 # The value column of each file kind: (one raw value, all raw values at
-# once or None, noun for "no <noun> rows").
-_COLUMNS = {"prob": (_prob, _probs, "prediction"),
-            "label": (_label, _labels, "label")}
+# once or None, noun for "no <noun> rows", dtype).
+_COLUMNS = {"prob": (_prob, _probs, "prediction", np.float64),
+            "label": (_label, _labels, "label", np.int64)}
 
 
 def _prob_csv(path, ids, probs):
@@ -262,7 +262,7 @@ def _label_csv(path, labels: LabelVector):
 
 def load_prediction_file(path) -> ProbSeries:
     """Read an ``id,prob`` CSV; errors name the file, line, and value."""
-    return ProbSeries(*_read_csv(path, "prob"))
+    return _of_checked(ProbSeries, *_read_csv(path, "prob"))
 
 
 def save_prediction_file(path, series: ProbSeries) -> None:
@@ -271,7 +271,7 @@ def save_prediction_file(path, series: ProbSeries) -> None:
 
 def load_label_file(path) -> LabelVector:
     """Read an ``id,label`` CSV with labels in {0, 1}."""
-    return LabelVector(*_read_csv(path, "label"))
+    return _of_checked(LabelVector, *_read_csv(path, "label"))
 
 
 def save_label_file(path, labels: LabelVector) -> None:

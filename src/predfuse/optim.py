@@ -22,9 +22,7 @@ class Adam:
     """ADAM with bias-corrected first/second moments."""
 
     def __init__(self, shape, lr: float):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = float(lr)
+        self.lr = float(lr)  # checked by its caller's TrainConfig
         self.t = 0
         shape = tuple(shape)
         # m and v are one stacked array, with a full-shape coefficient array

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PredictionMatrix, ProbSeries, check_probs
+from .core import PredictionMatrix, ProbSeries, _of_checked, check_probs
 from .errors import ConstraintError, ValidationError
 
 RULE_KINDS = ("sum", "avg", "max", "maj")
@@ -107,8 +107,8 @@ def apply_rule(rule: str, matrix: PredictionMatrix, subset=None
     """Apply a rule per sample over selected columns of a prediction matrix.
 
     Returns the score series (aligned to the matrix ids) and the label
-    vector it hardens to.
+    vector it hardens to.  The scores are probabilities by construction.
     """
     sub = matrix if subset is None else matrix.select(subset)
     scores, labels = rule_scores(rule, sub.values)
-    return ProbSeries(sub.ids, scores), labels
+    return _of_checked(ProbSeries, sub.ids, scores), labels

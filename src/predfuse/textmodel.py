@@ -15,6 +15,7 @@ line number.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -32,8 +33,9 @@ _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
 
 def tokenize(doc: str) -> list[str]:
-    """Lowercase and split on anything that is not a letter or digit."""
-    return [t for t in _TOKEN_SPLIT.split(doc.lower()) if t]
+    """Lowercase and split on anything that is not a letter or digit.  Tokens
+    are interned, so training holds one string per distinct token."""
+    return [sys.intern(t) for t in _TOKEN_SPLIT.split(doc.lower()) if t]
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,14 @@ class LogisticModel:
 
 def build_vocab(corpus, v_size: int) -> Vocabulary:
     """Top-``v_size`` tokens by frequency, frequency ties broken lexically."""
+    return _ranked_vocab(map(tokenize, corpus), v_size)
+
+
+def _ranked_vocab(token_lists, v_size: int) -> Vocabulary:
+    """:func:`build_vocab` of token lists; training tokenizes a doc once."""
     if v_size < 1:
         raise ValidationError("vocabulary size must be positive")
-    counts = Counter()
-    for doc in corpus:
-        counts.update(tokenize(doc))
+    counts = Counter(tok for tokens in token_lists for tok in tokens)
     if not counts:
         raise ValidationError("corpus has no tokens")
     ranked = sorted(counts, key=lambda tok: (-counts[tok], tok))
@@ -76,17 +81,17 @@ def build_vocab(corpus, v_size: int) -> Vocabulary:
 
 def encode(doc: str, vocab: Vocabulary) -> np.ndarray:
     """Multi-hot presence vector; repeats count once, unknown tokens drop."""
-    return _encode_rows([doc], vocab)[0]
+    return _encode_rows([tokenize(doc)], vocab)[0]
 
 
-def _encode_rows(docs, vocab: Vocabulary) -> np.ndarray:
-    """The (n, V) matrix of the documents' presence vectors."""
+def _encode_rows(token_lists, vocab: Vocabulary) -> np.ndarray:
+    """The (n, V) matrix of the presence vectors of n documents' tokens."""
     column, rows, cols = vocab._columns, [], []
-    for row, doc in enumerate(docs):
-        present = {column[t] for t in tokenize(doc) if t in column}
+    for row, tokens in enumerate(token_lists):
+        present = {column[t] for t in tokens if t in column}
         rows.extend([row] * len(present))
         cols.extend(present)
-    x = np.zeros((len(docs), vocab.size))
+    x = np.zeros((len(token_lists), vocab.size))
     x[rows, cols] = 1.0
     return x
 
@@ -122,8 +127,9 @@ def train_logistic(docs, labels, v_size: int, epochs: int = TrainConfig.epochs,
         raise ValidationError("labels must be 0 or 1")
     cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch_size,
                       l2=0.0, seed=seed)
-    vocab = build_vocab(docs, v_size)
-    x = _encode_rows(docs, vocab)
+    token_lists = [tokenize(doc) for doc in docs]
+    vocab = _ranked_vocab(token_lists, v_size)
+    x = _encode_rows(token_lists, vocab)
     w, b, _ = _fit(x[None], u[None], np.zeros(vocab.size), 0.0, [cfg], -np.inf)
     w = w[0]
     w.setflags(write=False)

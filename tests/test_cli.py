@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import predfuse
-from predfuse import evaluate, io_files
+from predfuse import LabelVector, evaluate, io_files
 from predfuse.cli import _grid, main
 from predfuse.evaluate import parse_report
 from predfuse.hybrid import default_theta_grid
@@ -490,6 +490,27 @@ class TestCv:
                              "M3", "--hybrid-aux", "M3", "M2")) == 2
         assert not out.exists()
         assert "'M3' also listed as auxiliary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", [
+        ("--method", "nn"), ("--method", "sum"),
+        ("--method", "hybrid", "--hybrid-base", "M3", "--hybrid-aux", "M1", "M2"),
+    ], ids=["nn", "rule", "hybrid"])
+    @pytest.mark.parametrize("edit", ["extra", "missing"])
+    def test_test_labels_must_carry_the_test_ids(self, suite, tmp_path, capsys,
+                                                 method, edit):
+        labels = io_files.load_label_file(suite["test_labels"])
+        if edit == "extra":
+            bad = LabelVector(labels.ids + ("zz",), [*labels.values, 1])
+            message = "labels have extra sample id 'zz'"
+        else:
+            bad = labels.restrict(labels.ids[1:])
+            message = f"labels are missing sample id {labels.ids[0]!r}"
+        io_files.save_label_file(tmp_path / "bad.csv", bad)
+        out = tmp_path / "report.tsv"
+        suite = dict(suite, test_labels=str(tmp_path / "bad.csv"))
+        assert main(_cv_args(suite, out, *method)) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"predfuse: invalid input: {message}\n"
 
     def test_rule_cv_summary_only(self, suite, tmp_path):
         out = tmp_path / "report.tsv"

@@ -339,17 +339,39 @@ class TestCheckedIds:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             build(kind(ids))
 
-    def test_selected_and_restricted_values_are_not_checked_again(self, monkeypatch):
+    def test_selected_and_restricted_values_are_not_checked_again(
+            self, monkeypatch, tmp_path):
         m = make_matrix([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        labels = make_labels([1, 0])
+        save_prediction_file(tmp_path / "p.csv", m.column("M2"))
+        save_label_file(tmp_path / "l.csv", labels)
+        weights = CombinerWeights(("M2", "M1"), [1.0, 0.5], 0.2)
         calls = []
         monkeypatch.setattr(core, "check_probs", lambda v: calls.append(v) or v)
+        for cls in (LabelVector, ProbSeries, PredictionMatrix):
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self: calls.append(type(self)))
         sub, rows = m.select(["M3", "M1"]), m.restrict(["s1"])
+        col, sub_u = m.column("M2"), labels.restrict(["s1"])
+        loaded_p = load_prediction_file(tmp_path / "p.csv")
+        loaded_u = load_label_file(tmp_path / "l.csv")
+        scores = predict(weights, m)
         assert calls == []
         assert (sub.ids, sub.model_names) == (m.ids, ("M3", "M1"))
         assert sub.values.tolist() == [[0.3, 0.1], [0.6, 0.4]]
         assert (rows.ids, rows.values.tolist()) == (("s1",), [[0.4, 0.5, 0.6]])
         for part in (sub, rows):
             assert part.values.flags.c_contiguous
+        assert col.ids == m.ids
+        assert col.values.tobytes() == m.values[:, 1].tobytes()
+        assert (sub_u.ids, sub_u.values.tolist()) == (("s1",), [0])
+        assert sub_u.values.dtype == np.int64
+        assert (loaded_p.ids, loaded_p.values.tolist()) == (m.ids, [0.2, 0.5])
+        assert (loaded_u.ids, loaded_u.values.tolist()) == (m.ids, [1, 0])
+        assert loaded_u.values.dtype == np.int64
+        assert scores.values.tolist() == sigmoid(
+            m.values[:, [1, 0]] @ [1.0, 0.5] - 0.2).tolist()
+        for part in (sub, rows, col, sub_u, loaded_p, loaded_u, scores):
             assert not part.values.flags.writeable
         assert m.select(("M1", "M2", "M3")) is m
         with pytest.raises(ValidationError, match="^model names must be unique$"):

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from predfuse import (ConstraintError, HybridMethod, NNMethod, RuleMethod,
-                      RunPlan, TrainConfig, ValidationError, accuracy,
+from predfuse import (AlignmentError, ConstraintError, HybridMethod,
+                      LabelVector, NNMethod, RuleMethod, RunPlan,
+                      TrainConfig, ValidationError, accuracy,
                       cross_validate, derive_seed, kfold_split, mean_stdev,
                       parse_report, predict, report_render, train)
 from predfuse.synth import SyntheticSpec, generate
@@ -145,6 +146,23 @@ class TestCrossValidate:
         with pytest.raises(ValidationError):
             cross_validate(RunPlan(2, 1, 0), train_m, train_u, bad_test,
                            test_u, FAST_NN)
+
+    @pytest.mark.parametrize("method", [
+        FAST_NN, RuleMethod("sum"), HybridMethod("M3", ("M1", "M2"))],
+        ids=["nn", "rule", "hybrid"])
+    @pytest.mark.parametrize("edit, message", [
+        ("extra", "labels have extra sample id 'zz'"),
+        ("missing", "labels are missing sample id '00'"),
+    ])
+    def test_test_labels_must_carry_the_test_ids(self, method, edit, message):
+        train_m, train_u, test_m, test_u = small_suite(n_test=60)
+        if edit == "extra":
+            labels = LabelVector(test_u.ids + ("zz",), [*test_u.values, 1])
+        else:
+            labels = test_u.restrict(test_u.ids[1:])
+        with pytest.raises(AlignmentError, match=f"^{message}$"):
+            cross_validate(RunPlan(2, 1, 0), train_m, train_u, test_m, labels,
+                           method)
 
 
 class TestReportRendering:

@@ -116,7 +116,7 @@ class TestApplyRule:
     def test_single_model_subset_is_hardened_column(self, rng):
         m = make_matrix(rng.uniform(0, 1, size=(50, 3)))
         _, labels = apply_rule("sum", m, ["M2"])
-        np.testing.assert_array_equal(labels, harden(m.column_values("M2"), 0.5))
+        np.testing.assert_array_equal(labels, harden(m.column("M2").values, 0.5))
 
     def test_two_model_rules_agree(self, rng):
         m = make_matrix(rng.uniform(0, 1, size=(200, 2)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from predfuse import textmodel
 from predfuse.errors import ValidationError
 from predfuse.textmodel import (LogisticModel, Vocabulary, _encode_rows,
                                 build_vocab, encode, load_corpus,
@@ -63,7 +64,7 @@ class TestEncodeRows:
         vocab = Vocabulary(tuple(tokens))
         want = np.array([self.presence(d, vocab) for d in docs],
                         dtype=np.float64).reshape(len(docs), vocab.size)
-        got = _encode_rows(docs, vocab)
+        got = _encode_rows([tokenize(d) for d in docs], vocab)
         assert got.shape == want.shape and got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
         for doc, row in zip(docs, want):
@@ -114,6 +115,14 @@ class TestTrain:
             "7147226ab6d24f827cd77b9540ea0f8c56c541b87a6e17434803e724c2323c75")
         assert model.bias.hex() == "0x1.1dfee0c450112p-1"
         assert not model.weights.flags.writeable
+
+    def test_each_document_is_tokenized_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(textmodel, "tokenize",
+                            lambda doc: calls.append(doc) or tokenize(doc))
+        docs = ["good film", "bad film", "good plot twist", "plot was bad"]
+        train_logistic(docs, [1, 0, 1, 0], v_size=5, epochs=2, seed=0)
+        assert calls == docs
 
     def test_diverging_fit_is_a_validation_error(self):
         # lr near the float64 maximum drives the weights to inf within a few
