@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from unittest import mock
 from hypothesis import strategies as st
 
 from predfuse import (AlignmentError, CombinerWeights, LabelVector,
@@ -325,6 +326,43 @@ _CONSTRUCTORS = {
     "LabelVector.restrict": lambda ids: make_labels([0, 1]).restrict(ids),
     "PredictionMatrix.restrict": lambda ids: make_matrix([[0.5], [0.6]]).restrict(ids),
 }
+
+
+def _rows_of_reference(ids, wanted, missing: str) -> np.ndarray:
+    """The row lookup as it was first written: an index over all of ``ids``."""
+    index = {sid: k for k, sid in enumerate(ids)}
+    try:
+        return np.asarray([index[sid] for sid in wanted])
+    except KeyError as exc:
+        raise AlignmentError(f"{missing} {exc.args[0]!r}") from None
+
+
+def _outcome(call):
+    try:
+        return call().tolist()
+    except Exception as exc:  # a longer list repeating every id: StopIteration
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestRowsOf:
+    @given(st.lists(st.text("abcde", min_size=1, max_size=2), min_size=1,
+                    max_size=12, unique=True), st.data())
+    def test_matches_an_index_over_all_ids(self, ids, data):
+        # Ids the series lacks, and wanted lists shorter than, as long as
+        # and longer than the ids, with and without duplicates.
+        pool = st.sampled_from(ids + ["zz", "e0"])
+        wanted = data.draw(
+            st.permutations(ids).flatmap(
+                lambda p: st.integers(0, len(p)).map(lambda n: p[:n]))
+            | st.lists(pool, max_size=2 * len(ids) + 2))
+        series = ProbSeries(ids, [k / len(ids) for k in range(len(ids))])
+        for probe in (wanted, tuple(wanted)):
+            got = _outcome(lambda: core._rows_of(series.ids, probe, "no id"))
+            want = _outcome(lambda: _rows_of_reference(series.ids, probe, "no id"))
+            assert got == want
+            got = _outcome(lambda: series.align_to(probe))
+            with mock.patch.object(core, "_rows_of", _rows_of_reference):
+                assert _outcome(lambda: series.align_to(probe)) == got
 
 
 class TestCheckedIds:

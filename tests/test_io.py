@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predfuse import (CombinerWeights, ConstraintError, LabelVector,
+from predfuse import (AlignmentError, CombinerWeights, ConstraintError, LabelVector,
                       PredictionMatrix, ProbSeries, TrainConfig, ValidationError, cross_validate,
                       NNMethod, RunPlan)
 from predfuse import io_files
@@ -336,6 +336,18 @@ class TestLoadMatrix:
         write(tmp_path / "m2.csv", "id,prob\na,0.8\nc,0.2\n")
         with pytest.raises(ValidationError, match="'b'|'c'"):
             load_matrix([tmp_path / "m1.csv", tmp_path / "m2.csv"])
+
+    def test_parse_error_in_a_later_file_beats_a_join_error(self, tmp_path):
+        write(tmp_path / "m1.csv", "id,prob\na,0.1\nb,0.9\n")
+        write(tmp_path / "m2.csv", "id,prob\na,0.8\nc,0.2\n")  # lacks 'b'
+        write(tmp_path / "m3.csv", "id,prob\na,0.5\nb,1.5\n")
+        write(tmp_path / "m4.csv", "id,prob\nd,0.5\nb,0.5\n")  # lacks 'a'
+        paths = [tmp_path / f"m{k}.csv" for k in (1, 2, 3, 4)]
+        with pytest.raises(ValidationError) as err:
+            load_matrix(paths)
+        assert str(err.value) == f"{paths[2]}:3: probability 1.5 outside [0, 1]"
+        with pytest.raises(AlignmentError, match="^model 'm2' vs 'm1': "):
+            load_matrix([paths[k] for k in (0, 1, 3)])  # the first join error
 
     def test_explicit_names(self, tmp_path):
         write(tmp_path / "m1.csv", "id,prob\na,0.1\n")

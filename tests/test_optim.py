@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from predfuse.optim import Adam
@@ -35,8 +35,24 @@ def _runs(draw):
     return params, grads, lr
 
 
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """The bits of every number in ``want``, and NaN exactly where ``want``
+    has one.  IEEE 754 leaves the sign and payload of a NaN made from two
+    NaN operands open, and numpy's SIMD body and scalar tail pick apart, so
+    a NaN's bits depend on where in the array it falls."""
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 class TestInPlaceStep:
     @given(_runs())
+    # After the third step the first moment adds the -NaN of inf + -inf to
+    # a +NaN gradient, and which of the two NaNs comes out differs between
+    # the stacked moments and the reference's arrays.
+    @example((np.zeros((3, 5)),
+              np.stack([np.full((3, 5), g) for g in (np.inf, -np.inf, np.nan)]),
+              1e-3))
     def test_bits_of_the_out_of_place_formula(self, run):
         params, grads, lr = run
         opt = Adam(params.shape, lr=lr)
@@ -44,7 +60,7 @@ class TestInPlaceStep:
         with np.errstate(all="ignore"):
             for grad, (want, m, v) in zip(grads, out_of_place(params, grads, lr)):
                 assert opt.step(mine, grad) is mine
-                assert mine.tobytes() == want.tobytes()
-                assert opt.m.tobytes() == m.tobytes()
-                assert opt.v.tobytes() == v.tobytes()
+                assert_same_bits(mine, want)
+                assert_same_bits(opt.m, m)
+                assert_same_bits(opt.v, v)
         assert opt.t == len(grads)
