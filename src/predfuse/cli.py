@@ -16,7 +16,7 @@ import sys
 
 from . import io_files
 from .combiner import TrainConfig, predict, train
-from .core import ProbSeries, accuracy, check_threshold
+from .core import ProbSeries, _of_checked, accuracy, check_threshold
 from .errors import ConstraintError, ValidationError
 from .evaluate import (HybridMethod, NNMethod, RuleMethod, RunPlan,
                        cross_validate, report_render)
@@ -186,7 +186,7 @@ def _cmd_combine(args) -> None:
         series = predict(io_files.load_weights(args.weights).weights, matrix)
     elif args.method == "hybrid":
         pred = hybrid_predict(cfg, matrix)
-        series = ProbSeries(pred.ids, pred.probs)
+        series = _of_checked(ProbSeries, pred.ids, pred.probs)
     else:
         series, _ = apply_rule(args.method, matrix)
     io_files.save_prediction_file(args.out, series)

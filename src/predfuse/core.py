@@ -7,8 +7,10 @@ Everything downstream works on three value types: a labelled sample set
 order, so files may list samples in any order without silently misjoining.
 Ids and values are checked once: a public constructor checks plain ids
 (strings, non-empty, unique; a private ``SampleIds`` passes) and the values,
-and ``select``, ``column``, ``restrict``, the file reader, ``predict`` and
-``apply_rule`` build from checked parts through the private ``_of_checked``.
+and ``select``, ``column``, ``restrict``, the join (``from_columns``, which
+checks only the model names), the file reader, ``predict``, ``apply_rule``,
+``synth.generate`` and the hybrid's combined column build from checked parts
+through the private ``_of_checked``.
 
 The norm operations harden a real-valued series with the ``>= t`` rule first
 and then take the Euclidean norm of the resulting 0/1 vector.  They accept
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -95,12 +98,29 @@ def _check_ids(ids) -> SampleIds:
 
 
 def _rows_of(ids: tuple[str, ...], wanted, missing: str) -> np.ndarray:
-    """Row index in ``ids`` of each wanted id; AlignmentError names a missing one."""
-    index = {sid: k for k, sid in enumerate(ids)}
-    try:
-        return np.asarray([index[sid] for sid in wanted])
-    except KeyError as exc:
-        raise AlignmentError(f"{missing} {exc.args[0]!r}") from None
+    """Row index in ``ids`` of each wanted id; AlignmentError names the first
+    missing one.
+
+    The dict is built over the shorter side: a fold's restrict wants a fifth
+    of the rows, and indexing only those holds a fifth of the entries.
+    """
+    if len(wanted) >= len(ids):
+        index = {sid: k for k, sid in enumerate(ids)}
+        try:
+            return np.asarray([index[sid] for sid in wanted])
+        except KeyError as exc:
+            raise AlignmentError(f"{missing} {exc.args[0]!r}") from None
+    slot = {sid: j for j, sid in enumerate(wanted)}
+    where = np.fromiter(map(slot.get, ids, repeat(-1)), np.intp, len(ids))
+    hit = np.flatnonzero(where >= 0)
+    rows = np.full(len(wanted), -1)
+    rows[where[hit]] = hit
+    if len(slot) < len(wanted):  # a repeated id: each copy reads its slot's row
+        rows = rows[[slot[sid] for sid in wanted]]
+    if (rows < 0).any():
+        lost = next(sid for sid, k in zip(wanted, rows) if k < 0)
+        raise AlignmentError(f"{missing} {lost!r}")
+    return rows
 
 
 def _of_checked(cls, ids: SampleIds, values: np.ndarray, **fields):
@@ -184,6 +204,14 @@ def _align_values(src_ids, src_values, target_ids, what: str) -> np.ndarray:
     return src_values[order]
 
 
+def _model_names(names) -> tuple[str, ...]:
+    """Model names as strings, which must be unique."""
+    names = tuple(str(n) for n in names)
+    if len(set(names)) != len(names):
+        raise ValidationError("model names must be unique")
+    return names
+
+
 @dataclass(frozen=True)
 class PredictionMatrix:
     """K named probability columns aligned to one sample id set.
@@ -199,11 +227,9 @@ class PredictionMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "ids", _as_ids(self.ids))
-        names = tuple(str(n) for n in self.model_names)
+        names = _model_names(self.model_names)
         if not names:
             raise ValidationError("a prediction matrix needs at least one model")
-        if len(set(names)) != len(names):
-            raise ValidationError("model names must be unique")
         object.__setattr__(self, "model_names", names)
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape != (len(self.ids), len(names)):
@@ -215,23 +241,36 @@ class PredictionMatrix:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_columns(cls, columns: list[tuple[str, ProbSeries]]) -> "PredictionMatrix":
+    def from_columns(cls, columns) -> "PredictionMatrix":
         """Join named series on their common id set (order of the first column).
 
         This is the package's one join of prediction columns: every series
         must carry exactly the first one's ids, in any order, and an
         AlignmentError names the model and an id that one side lacks.
+
+        ``columns``, ``(name, ProbSeries)`` pairs, is read once, keeping only
+        the first series' ids and the aligned values, so a generator reading
+        a file per series holds one file's ids besides the first.  A join
+        error is raised once the rest is read, so an error the iterable
+        raises wins.  The values are not checked again; the names are.
         """
-        if not columns:
-            raise ValidationError("no prediction columns given")
-        first, base = columns[0]
-        cols = []
+        names, cols, error = [], [], None
         for name, series in columns:
-            try:
-                cols.append(series.align_to(base.ids))
-            except AlignmentError as exc:
-                raise AlignmentError(f"model {name!r} vs {first!r}: {exc}") from None
-        return cls(base.ids, tuple(name for name, _ in columns), np.column_stack(cols))
+            if not names:
+                first, base = name, _as_ids(series.ids)
+            names.append(name)
+            if error is None:
+                try:
+                    cols.append(series.align_to(base))
+                except AlignmentError as exc:
+                    error = AlignmentError(f"model {name!r} vs {first!r}: {exc}")
+            del series  # its ids are freed before the next one is read
+        if not names:
+            raise ValidationError("no prediction columns given")
+        if error is not None:
+            raise error
+        return _of_checked(cls, base, np.column_stack(cols),
+                           model_names=_model_names(names))
 
     @property
     def n_samples(self) -> int:
@@ -250,9 +289,7 @@ class PredictionMatrix:
         if not names:
             raise ValidationError("model subset is empty")
         cols = [self._col(n) for n in names]
-        if len(set(names)) != len(names):
-            raise ValidationError("model names must be unique")
-        if names == self.model_names:
+        if _model_names(names) == self.model_names:
             return self
         return _of_checked(PredictionMatrix, self.ids,
                            self.values.take(cols, axis=1), model_names=names)

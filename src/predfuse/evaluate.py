@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import BoundReport, weight_sum_bounds
 from .combiner import TrainConfig, TrainResult, predict, train_runs
-from .core import LabelVector, PredictionMatrix, accuracy, check_seed
+from .core import LabelVector, PredictionMatrix, SampleIds, accuracy, check_seed
 from .errors import ValidationError
 from .hybrid import (HybridConfig, _check_models, _check_theta, hybrid_predict,
                      theta_sweep)
@@ -69,9 +69,16 @@ class FoldSplit:
 
 
 def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
-    """Seeded shuffle of the canonically sorted ids, then contiguous cuts."""
+    """Seeded shuffle of the canonically sorted ids, then contiguous cuts.
+
+    Ids a matrix or label vector carries are already known to be unique,
+    non-empty strings (``core.SampleIds``): they are not checked for
+    duplicates, the cuts are not checked for overlap, and each fold comes
+    back as checked ids, which ``restrict`` takes as they are.
+    """
+    checked = isinstance(ids, SampleIds)
     ids = sorted(str(i) for i in ids)
-    if len(set(ids)) != len(ids):
+    if not checked and len(set(ids)) != len(ids):
         raise ValidationError("duplicate sample ids")
     if n_folds < 2:
         raise ValidationError("need at least two folds")
@@ -81,8 +88,12 @@ def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(ids))
     shuffled = [ids[i] for i in order]
-    return FoldSplit(tuple(tuple(part) for part in
-                           np.array_split(np.asarray(shuffled, dtype=object), n_folds)))
+    parts = np.array_split(np.asarray(shuffled, dtype=object), n_folds)
+    if not checked:
+        return FoldSplit(tuple(tuple(part) for part in parts))
+    split = object.__new__(FoldSplit)  # cuts of unique ids cannot overlap
+    object.__setattr__(split, "folds", tuple(SampleIds(part) for part in parts))
+    return split
 
 
 @dataclass(frozen=True)

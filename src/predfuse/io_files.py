@@ -282,7 +282,10 @@ def load_matrix(paths, names=None) -> PredictionMatrix:
     """Join prediction files on their sample ids into one matrix.
 
     The join is strict: every file must carry exactly the same id set (in
-    any order).  Model names default to the file stems.
+    any order).  Model names default to the file stems.  Files are read one
+    at a time into the join, so a file's ids are freed once its column is
+    aligned; every file is still read, and a file that fails to parse wins
+    over a join error in an earlier one.
     """
     paths = [Path(p) for p in paths]
     if not paths:
@@ -293,7 +296,7 @@ def load_matrix(paths, names=None) -> PredictionMatrix:
     if len(names) != len(paths):
         raise ValidationError(f"{len(paths)} files but {len(names)} model names")
     return PredictionMatrix.from_columns(
-        [(name, load_prediction_file(path)) for name, path in zip(names, paths)])
+        (name, load_prediction_file(path)) for name, path in zip(names, paths))
 
 
 def save_matrix_files(out_dir, matrix: PredictionMatrix,

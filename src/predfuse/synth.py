@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelVector, PredictionMatrix, check_seed, harden, sigmoid
+from .core import (LabelVector, PredictionMatrix, _of_checked, check_seed,
+                   harden, sigmoid)
 from .errors import ValidationError
 
 __all__ = ["SyntheticSpec", "inv_norm_cdf", "generate", "estimate_error_correlation"]
@@ -138,7 +139,8 @@ def generate(spec: SyntheticSpec) -> tuple[LabelVector, PredictionMatrix]:
         + math.sqrt(1.0 - spec.rho) * e
     probs = sigmoid(spec.sharpness * z)
     labels = LabelVector(ids, u)
-    return labels, PredictionMatrix(labels.ids, spec.model_names, probs)
+    return labels, _of_checked(PredictionMatrix, labels.ids, probs,
+                               model_names=spec.model_names)
 
 
 def estimate_error_correlation(matrix: PredictionMatrix,

@@ -1,9 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from unittest import mock
 from hypothesis import strategies as st
 
 from predfuse import (AlignmentError, CombinerWeights, LabelVector,
@@ -11,8 +11,11 @@ from predfuse import (AlignmentError, CombinerWeights, LabelVector,
                       assign_class, binary_norm, core, harden, predict,
                       shifted_sigmoid, sigmoid, thresholded_distance,
                       thresholded_norm)
-from predfuse.io_files import (load_label_file, load_prediction_file,
-                               save_label_file, save_prediction_file)
+from predfuse.cli import main
+from predfuse.io_files import (load_label_file, load_matrix,
+                               load_prediction_file, save_label_file,
+                               save_matrix_files, save_prediction_file)
+from predfuse.synth import SyntheticSpec, generate
 
 from conftest import make_labels, make_matrix
 
@@ -414,6 +417,18 @@ class TestCheckedIds:
         assert m.select(("M1", "M2", "M3")) is m
         with pytest.raises(ValidationError, match="^model names must be unique$"):
             m.select(["M1", "M1"])
+        calls.clear()
+        paths = [str(path) for path in save_matrix_files(tmp_path, m)]
+        joined = load_matrix(paths)
+        assert main(["combine", "--method", "hybrid", "--preds", *paths,
+                     "--hybrid-base", "M1", "--hybrid-aux", "M2", "M3",
+                     "--out", str(tmp_path / "hybrid.csv")]) == 0
+        assert calls == []
+        assert joined.values.tobytes() == m.values.tobytes()
+        _, suite = generate(SyntheticSpec(k=2, target_acc=(0.7, 0.8), n=5))
+        assert calls == [LabelVector]  # the one check of the suite's ids
+        for part in (joined, suite):
+            assert not part.values.flags.writeable
 
     def test_checked_ids_are_not_checked_again(self, monkeypatch, tmp_path):
         checks = []

@@ -4,7 +4,7 @@ import pytest
 
 from predfuse import (AlignmentError, ConstraintError, HybridMethod,
                       LabelVector, NNMethod, RuleMethod, RunPlan,
-                      TrainConfig, ValidationError, accuracy,
+                      TrainConfig, ValidationError, accuracy, core,
                       cross_validate, derive_seed, kfold_split, mean_stdev,
                       parse_report, predict, report_render, train)
 from predfuse.synth import SyntheticSpec, generate
@@ -37,6 +37,18 @@ class TestKFold:
     def test_row_order_does_not_matter(self):
         ids = [f"x{i}" for i in range(50)]
         assert kfold_split(ids, 5, 2).folds == kfold_split(ids[::-1], 5, 2).folds
+
+    def test_checked_ids_split_alike_into_checked_folds(self):
+        _, matrix = generate(SyntheticSpec(k=1, target_acc=(0.8,), n=103, seed=4))
+        split = kfold_split(matrix.ids, 4, 7)
+        assert split == kfold_split(list(matrix.ids), 4, 7)
+        for fold in split.folds:  # restrict takes them without a check
+            assert type(fold) is core.SampleIds
+            assert matrix.restrict(fold).ids is fold
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValidationError, match="^duplicate sample ids$"):
+            kfold_split(["a", "b", "a"], 2, 0)
 
     def test_too_few_ids(self):
         with pytest.raises(ValidationError):

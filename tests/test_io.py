@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import sys
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -348,6 +349,29 @@ class TestLoadMatrix:
         assert str(err.value) == f"{paths[2]}:3: probability 1.5 outside [0, 1]"
         with pytest.raises(AlignmentError, match="^model 'm2' vs 'm1': "):
             load_matrix([paths[k] for k in (0, 1, 3)])  # the first join error
+
+    def test_holds_at_most_two_files_series(self, tmp_path, monkeypatch):
+        ids = [f"s{j}" for j in range(6)]
+        paths = []
+        for k in range(4):
+            order = ids[k:] + ids[:k]
+            write(tmp_path / f"m{k}.csv", "id,prob\n" + "".join(
+                f"{sid},0.{k}{sid[1]}\n" for sid in order))
+            paths.append(tmp_path / f"m{k}.csv")
+        loaded, held, real = [], [], io_files.load_prediction_file
+
+        def load(path):
+            held.append(sum(ref() is not None for ref in loaded))
+            series = real(path)
+            loaded.append(weakref.ref(series))
+            return series
+
+        monkeypatch.setattr(io_files, "load_prediction_file", load)
+        m = load_matrix(paths)
+        assert len(held) == 4 and max(held) <= 1  # besides the one being read
+        assert m.ids == tuple(ids)
+        assert m.values.tolist() == [[float(f"0.{k}{j}") for k in range(4)]
+                                     for j in range(6)]
 
     def test_explicit_names(self, tmp_path):
         write(tmp_path / "m1.csv", "id,prob\na,0.1\n")
