@@ -21,6 +21,7 @@ raw values.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -101,20 +102,15 @@ def _rows_of(ids: tuple[str, ...], wanted, missing: str) -> np.ndarray:
     """Row index in ``ids`` of each wanted id; AlignmentError names the first
     missing one.
 
-    The dict is built over the shorter side: a fold's restrict wants a fifth
-    of the rows, and indexing only those holds a fifth of the entries.
+    The dict is over ``wanted`` and ``ids`` is scanned once, so a fold's
+    restrict, which wants a fifth of the rows, indexes only those.
     """
-    if len(wanted) >= len(ids):
-        index = {sid: k for k, sid in enumerate(ids)}
-        try:
-            return np.asarray([index[sid] for sid in wanted])
-        except KeyError as exc:
-            raise AlignmentError(f"{missing} {exc.args[0]!r}") from None
     slot = {sid: j for j, sid in enumerate(wanted)}
     where = np.fromiter(map(slot.get, ids, repeat(-1)), np.intp, len(ids))
     hit = np.flatnonzero(where >= 0)
+    where = where[hit]  # the full scan is freed before rows is made
     rows = np.full(len(wanted), -1)
-    rows[where[hit]] = hit
+    rows[where] = hit
     if len(slot) < len(wanted):  # a repeated id: each copy reads its slot's row
         rows = rows[[slot[sid] for sid in wanted]]
     if (rows < 0).any():
@@ -241,7 +237,8 @@ class PredictionMatrix:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_columns(cls, columns) -> "PredictionMatrix":
+    def from_columns(
+            cls, columns: Iterable[tuple[str, ProbSeries]]) -> "PredictionMatrix":
         """Join named series on their common id set (order of the first column).
 
         This is the package's one join of prediction columns: every series
@@ -252,10 +249,14 @@ class PredictionMatrix:
         the first series' ids and the aligned values, so a generator reading
         a file per series holds one file's ids besides the first.  A join
         error is raised once the rest is read, so an error the iterable
-        raises wins.  The values are not checked again; the names are.
+        raises wins.  Only ``ProbSeries`` are taken, as their values are
+        already checked probabilities; the names are checked.
         """
         names, cols, error = [], [], None
         for name, series in columns:
+            if not isinstance(series, ProbSeries):
+                raise ValidationError(
+                    f"model {name!r} is a {type(series).__name__}, not a ProbSeries")
             if not names:
                 first, base = name, _as_ids(series.ids)
             names.append(name)

@@ -71,10 +71,11 @@ class FoldSplit:
 def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
     """Seeded shuffle of the canonically sorted ids, then contiguous cuts.
 
-    Ids a matrix or label vector carries are already known to be unique,
-    non-empty strings (``core.SampleIds``): they are not checked for
-    duplicates, the cuts are not checked for overlap, and each fold comes
-    back as checked ids, which ``restrict`` takes as they are.
+    Plain ids are checked for duplicates; ids a matrix or label vector
+    carries are already known to be unique, non-empty strings
+    (``core.SampleIds``), are not checked again, and each fold comes back as
+    checked ids, which ``restrict`` takes as they are.  Contiguous cuts of
+    unique ids cannot overlap, so the split skips ``FoldSplit``'s checks.
     """
     checked = isinstance(ids, SampleIds)
     ids = sorted(str(i) for i in ids)
@@ -89,10 +90,9 @@ def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
     order = rng.permutation(len(ids))
     shuffled = [ids[i] for i in order]
     parts = np.array_split(np.asarray(shuffled, dtype=object), n_folds)
-    if not checked:
-        return FoldSplit(tuple(tuple(part) for part in parts))
-    split = object.__new__(FoldSplit)  # cuts of unique ids cannot overlap
-    object.__setattr__(split, "folds", tuple(SampleIds(part) for part in parts))
+    fold = SampleIds if checked else tuple
+    split = object.__new__(FoldSplit)  # even cuts of unique ids: a valid split
+    object.__setattr__(split, "folds", tuple(fold(part) for part in parts))
     return split
 
 

@@ -300,6 +300,13 @@ class TestContainers:
         with pytest.raises(AlignmentError, match=f"model 'B' vs 'A': .*{lacking}"):
             PredictionMatrix.from_columns([("A", a), ("B", b)])
 
+    def test_from_columns_takes_only_prob_series(self):
+        a = ProbSeries(("x", "y"), [0.1, 0.9])
+        labels = LabelVector(("x", "y"), [0, 1])
+        with pytest.raises(ValidationError,
+                           match="^model 'B' is a LabelVector, not a ProbSeries$"):
+            PredictionMatrix.from_columns([("A", a), ("B", labels)])
+
     def test_select_unknown_model(self):
         m = make_matrix([[0.5, 0.6]])
         with pytest.raises(ValidationError):
