@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import predfuse
-from predfuse import LabelVector, evaluate, io_files
+from predfuse import LabelVector, core, evaluate, io_files
 from predfuse.cli import _grid, main
 from predfuse.evaluate import parse_report
 from predfuse.hybrid import default_theta_grid
@@ -127,6 +127,22 @@ class TestTrainAndCombine:
                      "--labels", suite["test_labels"]]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert [ln.split("\t")[0] for ln in lines[1:]] == ["M1", "M2", "M3"]
+
+    def test_eval_per_model_aligns_the_labels_once(self, suite, tmp_path,
+                                                   monkeypatch, capsys):
+        labels = io_files.load_label_file(suite["test_labels"])
+        shuffled = tmp_path / "labels.csv"  # another row order than the preds
+        io_files.save_label_file(shuffled, labels.restrict(labels.ids[::-1]))
+        argv = ["eval", "--preds", *suite["test_preds"], "--labels"]
+        assert main([*argv, suite["test_labels"]]) == 0
+        want = capsys.readouterr().out
+        lookups = []
+        rows_of = core._rows_of
+        monkeypatch.setattr(core, "_rows_of", lambda ids, wanted, missing: (
+            lookups.append(missing) or rows_of(ids, wanted, missing)))
+        assert main([*argv, str(shuffled)]) == 0
+        assert capsys.readouterr().out == want
+        assert lookups == ["labels are missing sample id"]
 
 
 class TestExitCodes:

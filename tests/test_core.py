@@ -247,6 +247,13 @@ class TestAccuracy:
         with pytest.raises(AlignmentError):
             accuracy(np.array([0.5]), make_labels([1, 0]))
 
+    @pytest.mark.parametrize("pred", [
+        np.array([0.9, 0.1]), [0.9, 0.1], (0.9, 0.1)], ids=["ndarray", "list", "tuple"])
+    def test_only_id_keyed_predictions_are_scored(self, pred):
+        with pytest.raises(ValidationError,
+                           match="^accuracy scores a ProbSeries against a LabelVector"):
+            accuracy(pred, make_labels([1, 0]))
+
 
 class TestContainers:
     def test_duplicate_ids_rejected(self):
@@ -373,6 +380,19 @@ class TestRowsOf:
             got = _outcome(lambda: series.align_to(probe))
             with mock.patch.object(core, "_rows_of", _rows_of_reference):
                 assert _outcome(lambda: series.align_to(probe)) == got
+
+
+class TestAlignTo:
+    @pytest.mark.parametrize("ids", [("a", "b"), ("a",)])
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_repeated_target_ids_rejected(self, ids, kind):
+        # unchecked, ['a', 'a'] would read row 'a' twice against ('a', 'b')
+        # and run the extra-id search off the end against ('a',)
+        for value in (ProbSeries(ids, [0.5] * len(ids)),
+                      LabelVector(ids, [1] * len(ids))):
+            with pytest.raises(ValidationError,
+                               match=r"^duplicate sample ids: \['a'\]$"):
+                value.align_to(kind(["a", "a"]))
 
 
 class TestCheckedIds:

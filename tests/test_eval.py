@@ -118,6 +118,20 @@ class TestCrossValidate:
         assert len(report.records) == 4
         assert all("theta=" in r.detail for r in report.records)
 
+    def test_hybrid_method_aligns_the_test_labels_once(self, monkeypatch):
+        train_m, train_u, test_m, test_u = small_suite(n_train=200)
+        shuffled = test_u.restrict(test_u.ids[::-1])
+        plan = RunPlan(n_folds=4, repeats_per_fold=1, seed=3)
+        method = HybridMethod(base="M3", aux=("M1", "M2"), rule="sum")
+        want = cross_validate(plan, train_m, train_u, test_m, test_u, method)
+        lookups = []
+        rows_of = core._rows_of
+        monkeypatch.setattr(core, "_rows_of", lambda ids, wanted, missing: (
+            lookups.append(missing) or rows_of(ids, wanted, missing)))
+        got = cross_validate(plan, train_m, train_u, test_m, shuffled, method)
+        assert got == want
+        assert lookups.count("labels are missing sample id") == 1
+
     @pytest.mark.parametrize("kwargs, error", [
         ({"aux": ("M3", "M2")}, ValidationError),
         ({"aux": ("M1", "M1")}, ValidationError),
