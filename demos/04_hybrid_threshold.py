@@ -27,7 +27,7 @@ print(f"\nbest theta: {sweep.best_theta} "
 cfg = HybridConfig(base=base, aux=aux, rule="max", theta=sweep.best_theta)
 pred = hybrid_predict(cfg, test_matrix)
 print(f"\non the test pool: accuracy "
-      f"{accuracy(pred.probs, test_labels.align_to(pred.ids)):.4f}, "
+      f"{accuracy(pred.series, test_labels):.4f}, "
       f"fallback used on {pred.fallback_fraction:.1%} of samples")
 print(f"pure base model:  accuracy "
       f"{accuracy(test_matrix.column(base), test_labels):.4f}")

@@ -16,7 +16,7 @@ import sys
 
 from . import io_files
 from .combiner import TrainConfig, predict, train
-from .core import ProbSeries, _of_checked, accuracy, check_threshold
+from .core import LabelVector, accuracy, check_threshold
 from .errors import ConstraintError, ValidationError
 from .evaluate import (HybridMethod, NNMethod, RuleMethod, RunPlan,
                        cross_validate, report_render)
@@ -185,8 +185,7 @@ def _cmd_combine(args) -> None:
     if args.method == "nn":
         series = predict(io_files.load_weights(args.weights).weights, matrix)
     elif args.method == "hybrid":
-        pred = hybrid_predict(cfg, matrix)
-        series = _of_checked(ProbSeries, pred.ids, pred.probs)
+        series = hybrid_predict(cfg, matrix).series
     else:
         series, _ = apply_rule(args.method, matrix)
     io_files.save_prediction_file(args.out, series)
@@ -199,6 +198,7 @@ def _cmd_eval(args) -> None:
         matrix = io_files.load_matrix([args.combined], names=["combined"])
     else:
         matrix = io_files.load_matrix(args.preds)
+    labels = LabelVector(matrix.ids, labels.align_to(matrix.ids))  # not per column
     lines = ["name\taccuracy\tpercent"]
     for name in matrix.model_names:
         acc = accuracy(matrix.column(name), labels, t)

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (_SIGMOID_NOT_FINITE, LabelVector, PredictionMatrix,
-                   ProbSeries, _of_checked, _sigmoid, _SigmoidBuffers,
-                   check_seed, check_threshold, sigmoid)
+                   ProbSeries, SampleIds, _of_checked, _sigmoid,
+                   _SigmoidBuffers, check_seed, check_threshold, sigmoid)
 from .errors import ConstraintError, ValidationError
 from .optim import Adam
 
@@ -144,9 +144,9 @@ def _forward_rows(weights: CombinerWeights, x: np.ndarray) -> np.ndarray:
 def _training_arrays(matrix: PredictionMatrix, labels: LabelVector
                      ) -> tuple[np.ndarray, np.ndarray]:
     # Canonical id ordering: shuffles then depend only on the seed, not on
-    # the row order callers happened to use.
+    # the row order callers happened to use; permuted, checked ids stay so.
     order = sorted(range(len(matrix.ids)), key=lambda i: matrix.ids[i])
-    ids = tuple(matrix.ids[i] for i in order)
+    ids = SampleIds(matrix.ids[i] for i in order)
     return matrix.values[np.asarray(order)], labels.align_to(ids)
 
 

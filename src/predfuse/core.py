@@ -4,7 +4,8 @@ Everything downstream works on three value types: a labelled sample set
 (:class:`LabelVector`), a single per-sample probability column
 (:class:`ProbSeries`), and K named columns sharing one id set
 (:class:`PredictionMatrix`).  Alignment is always by sample id, never by row
-order, so files may list samples in any order without silently misjoining.
+order, ``accuracy``'s included, so files may list samples in any order
+without silently misjoining; ``align_to`` takes only unique ids.
 Ids and values are checked once: a public constructor checks plain ids
 (strings, non-empty, unique; a private ``SampleIds`` passes) and the values,
 and ``select``, ``column``, ``restrict``, the join (``from_columns``, which
@@ -100,7 +101,7 @@ def _check_ids(ids) -> SampleIds:
 
 def _rows_of(ids: tuple[str, ...], wanted, missing: str) -> np.ndarray:
     """Row index in ``ids`` of each wanted id; AlignmentError names the first
-    missing one.
+    missing one.  ``wanted`` holds unique ids, as ``_as_ids`` makes them.
 
     The dict is over ``wanted`` and ``ids`` is scanned once, so a fold's
     restrict, which wants a fifth of the rows, indexes only those.
@@ -111,8 +112,6 @@ def _rows_of(ids: tuple[str, ...], wanted, missing: str) -> np.ndarray:
     where = where[hit]  # the full scan is freed before rows is made
     rows = np.full(len(wanted), -1)
     rows[where] = hit
-    if len(slot) < len(wanted):  # a repeated id: each copy reads its slot's row
-        rows = rows[[slot[sid] for sid in wanted]]
     if (rows < 0).any():
         lost = next(sid for sid, k in zip(wanted, rows) if k < 0)
         raise AlignmentError(f"{missing} {lost!r}")
@@ -158,7 +157,7 @@ class LabelVector:
         return len(self.ids)
 
     def align_to(self, ids: tuple[str, ...]) -> np.ndarray:
-        """Return label values reordered to ``ids``; error if the sets differ."""
+        """Return label values reordered to unique ``ids``; error if the sets differ."""
         return _align_values(self.ids, self.values, ids, what="labels")
 
     def restrict(self, ids) -> "LabelVector":
@@ -192,6 +191,7 @@ class ProbSeries:
 def _align_values(src_ids, src_values, target_ids, what: str) -> np.ndarray:
     if src_ids == target_ids:
         return src_values
+    target_ids = _as_ids(target_ids)
     order = _rows_of(src_ids, target_ids, f"{what} are missing sample id")
     if len(target_ids) != len(src_ids):
         wanted = set(target_ids)
@@ -426,17 +426,11 @@ def thresholded_distance(y, z, t: float = 0.5) -> float:
     return float(np.sqrt(int((diff * diff).sum())))
 
 
-def accuracy(pred, labels: LabelVector, t: float = 0.5) -> float:
-    """Fraction of samples whose hardened prediction matches the label."""
+def accuracy(pred: ProbSeries, labels: LabelVector, t: float = 0.5) -> float:
+    """Fraction of samples whose hardened prediction matches its label, by id."""
     t = check_threshold(t)
-    if isinstance(pred, ProbSeries):
-        u = labels.align_to(pred.ids)
-        v = pred.values
-    else:
-        v = np.asarray(pred, dtype=np.float64)
-        u = labels.values if isinstance(labels, LabelVector) else np.asarray(labels)
-        if len(v) != len(u):
-            raise AlignmentError(f"series lengths differ: {len(v)} vs {len(u)}")
-    if len(v) == 0:
-        raise ValidationError("accuracy of an empty sample set is undefined")
-    return float((harden(v, t) == u).mean())
+    if not (isinstance(pred, ProbSeries) and isinstance(labels, LabelVector)):
+        raise ValidationError(
+            "accuracy scores a ProbSeries against a LabelVector, got "
+            f"{type(pred).__name__} and {type(labels).__name__}")
+    return float((harden(pred.values, t) == labels.align_to(pred.ids)).mean())

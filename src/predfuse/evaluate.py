@@ -21,7 +21,8 @@ import numpy as np
 
 from .bounds import BoundReport, weight_sum_bounds
 from .combiner import TrainConfig, TrainResult, predict, train_runs
-from .core import LabelVector, PredictionMatrix, SampleIds, accuracy, check_seed
+from .core import (LabelVector, PredictionMatrix, SampleIds, _as_ids, accuracy,
+                   check_seed)
 from .errors import ValidationError
 from .hybrid import (HybridConfig, _check_models, _check_theta, hybrid_predict,
                      theta_sweep)
@@ -71,16 +72,13 @@ class FoldSplit:
 def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
     """Seeded shuffle of the canonically sorted ids, then contiguous cuts.
 
-    Plain ids are checked for duplicates; ids a matrix or label vector
-    carries are already known to be unique, non-empty strings
-    (``core.SampleIds``), are not checked again, and each fold comes back as
-    checked ids, which ``restrict`` takes as they are.  Contiguous cuts of
-    unique ids cannot overlap, so the split skips ``FoldSplit``'s checks.
+    Plain ids are checked as a constructor checks them (``core._as_ids``);
+    ids a matrix or label vector carries are not checked again.  Each fold
+    comes back as checked ids, which ``restrict`` takes as they are.
+    Contiguous cuts of unique ids cannot overlap, so the split skips
+    ``FoldSplit``'s checks.
     """
-    checked = isinstance(ids, SampleIds)
-    ids = sorted(str(i) for i in ids)
-    if not checked and len(set(ids)) != len(ids):
-        raise ValidationError("duplicate sample ids")
+    ids = sorted(_as_ids(ids))
     if n_folds < 2:
         raise ValidationError("need at least two folds")
     if len(ids) < n_folds:
@@ -88,11 +86,9 @@ def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
     check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(ids))
-    shuffled = [ids[i] for i in order]
-    parts = np.array_split(np.asarray(shuffled, dtype=object), n_folds)
-    fold = SampleIds if checked else tuple
+    parts = np.array_split(np.asarray(ids, dtype=object)[order], n_folds)
     split = object.__new__(FoldSplit)  # even cuts of unique ids: a valid split
-    object.__setattr__(split, "folds", tuple(fold(part) for part in parts))
+    object.__setattr__(split, "folds", tuple(SampleIds(part) for part in parts))
     return split
 
 
@@ -198,6 +194,7 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
     """
     _check_shared_models(train_preds, test_preds)
     split = kfold_split(train_preds.ids, plan.n_folds, plan.seed)
+    test_u = LabelVector(test_preds.ids, test_labels.align_to(test_preds.ids))
     records = []
     if isinstance(method, NNMethod):
         label = "nn"
@@ -209,13 +206,12 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
             (f, replace(method.config, seed=derive_seed(plan.seed, f, r)))
             for f, r in grid], t=method.threshold)
         test_m = test_preds.select(train_preds.model_names)
-        test_u = LabelVector(test_m.ids, test_labels.align_to(test_m.ids))
         for (f, r), result in zip(grid, results):
             records.append(_nn_run(f, r, result, *folds[f], test_m, test_u))
     elif isinstance(method, RuleMethod):
         label = method.rule
         scores, _ = apply_rule(method.rule, test_preds)
-        acc = accuracy(scores, test_labels)
+        acc = accuracy(scores, test_u)
         for f in range(plan.n_folds):
             records.append(RunRecord(fold=f, repeat=0, accuracy=acc,
                                      detail=f"rule={method.rule}"))
@@ -228,8 +224,7 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
                                 fold_m, fold_u, method.grid or None)
             cfg = HybridConfig(method.base, method.aux, method.rule,
                                sweep.best_theta)
-            pred = hybrid_predict(cfg, test_preds)
-            acc = accuracy(pred.probs, test_labels.align_to(pred.ids))
+            acc = accuracy(hybrid_predict(cfg, test_preds).series, test_u)
             records.append(RunRecord(
                 fold=f, repeat=0, accuracy=acc,
                 detail=f"base={method.base};rule={method.rule};"

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabelVector, PredictionMatrix, check_probs, harden
+from .core import (LabelVector, PredictionMatrix, ProbSeries, _of_checked,
+                   check_probs, harden)
 from .errors import ConstraintError, ValidationError
 from .rules import check_rule_kind, rule_scores
 
@@ -67,6 +68,11 @@ class HybridPrediction:
     probs: np.ndarray = field(repr=False)     # base prob or rule score
     labels: np.ndarray = field(repr=False)
     fallback: np.ndarray = field(repr=False)  # True where the rule decided
+
+    @property
+    def series(self) -> ProbSeries:
+        """``probs`` keyed by id; ``hybrid_predict`` built both from checked parts."""
+        return _of_checked(ProbSeries, self.ids, self.probs)
 
     @property
     def fallback_fraction(self) -> float:

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,17 @@ from predfuse import LabelVector, PredictionMatrix
 # test, ten times hypothesis's default of 100.
 settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+# Hypothesis imports this module to print a patch for a failing example.
+# With libcst installed the import can warn (a deprecated mypy_extensions
+# name), and under filterwarnings = error that warning would become an
+# INTERNALERROR ending the whole run; imported once here, it stays quiet.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

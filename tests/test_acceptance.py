@@ -243,7 +243,7 @@ def test_criterion_7_hybrid_sweep(combiner_runs):
                        >= pf.accuracy(train_m.column(base), train_u))
         cfg = pf.HybridConfig(base, aux, rule, sweep.best_theta)
         pred = pf.hybrid_predict(cfg, test_m)
-        test_accs.append(pf.accuracy(pred.probs, test_u.align_to(pred.ids)))
+        test_accs.append(pf.accuracy(pred.series, test_u))
     hybrid_mean = float(np.mean(test_accs))
     gap = abs(nn_mean - hybrid_mean)
     ok = all(tune_ok) and gap <= 0.01

@@ -208,8 +208,8 @@ class TestTrain:
         labels = make_labels([1, 0] * (n // 2))
         m = make_matrix(np.full((n, 2), 0.5))
         result = train(m, labels, TrainConfig(epochs=40, seed=3))
-        out = predict(result.weights, m).values
-        assert abs(out.mean() - 0.5) < 0.05
+        out = predict(result.weights, m)
+        assert abs(out.values.mean() - 0.5) < 0.05
         assert accuracy(out, labels) == 0.5
 
     def test_synthetic_suite_beats_090(self):

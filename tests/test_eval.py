@@ -47,8 +47,12 @@ class TestKFold:
             assert matrix.restrict(fold).ids is fold
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValidationError, match="^duplicate sample ids$"):
+        with pytest.raises(ValidationError, match=r"^duplicate sample ids: \['a'\]$"):
             kfold_split(["a", "b", "a"], 2, 0)
+
+    def test_empty_id_rejected(self):
+        with pytest.raises(ValidationError, match="^sample ids must be non-empty$"):
+            kfold_split(["a", "", "b"], 2, 0)
 
     def test_too_few_ids(self):
         with pytest.raises(ValidationError):
