@@ -210,6 +210,17 @@ class TestThresholdedDistance:
         z = ProbSeries(("b", "a"), [0.1, 0.9])
         assert thresholded_distance(y, z, 0.5) == 0.0
 
+    @pytest.mark.parametrize("labels_first", [False, True])
+    def test_one_id_keyed_side_rejected(self, labels_first):
+        # Paired by id the distance is 0.0; paired by position it reads 1.414.
+        y = ProbSeries(("b", "a"), [0.9, 0.1])
+        labels = LabelVector(("a", "b"), [0, 1])
+        assert thresholded_distance(y, labels, 0.5) == 0.0
+        args = (labels.values, y) if labels_first else (y, labels.values)
+        names = "ndarray and ProbSeries" if labels_first else "ProbSeries and ndarray"
+        with pytest.raises(ValidationError, match=f"got {names}$"):
+            thresholded_distance(*args, 0.5)
+
     def test_series_with_foreign_ids_rejected(self):
         y = ProbSeries(("a", "b"), [0.9, 0.1])
         z = ProbSeries(("a", "c"), [0.9, 0.1])
