@@ -20,10 +20,14 @@ folds at once, as cross-validation does, through the same private code.
 :func:`predict` does not recheck its output: a sigmoid is a probability.
 
 A step is a few dozen numpy calls on arrays of a few dozen elements, so
-their fixed cost is the step's cost.  The loop therefore allocates every
-buffer once per batch shape, gathers each minibatch into one, updates the
-parameters and ADAM's moments in place, and checks finiteness with one
-reduction per step, on the -|z| the sigmoid kernel computes anyway.
+their fixed cost is the step's cost.  The loop therefore allocates nothing
+per epoch or step: each run shuffles its own row of positions in place,
+each minibatch is gathered into a buffer made once per batch shape (the
+text model's one-byte 0/1 matrix into one of its own dtype, then widened
+by one copy), the parameters and ADAM's moments update in place, the
+projection onto the weight floor runs without a branch, and finiteness is
+checked with one reduction per step, on the -|z| the sigmoid kernel
+computes anyway.
 """
 
 from __future__ import annotations
@@ -303,17 +307,23 @@ def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
 
     ``x`` (F, n, K) and ``u`` (F, n) stack F equally sized folds; run r
     trains with ``cfgs[r]`` on fold ``fold[r]`` (default: fold r), starting
-    from (w, b).  Every run shuffles with its own seed, but all share the
-    step count, so the runs form one ``(R, K+1)`` parameter array under one
-    ADAM.  Weights below ``floor`` are projected onto it after every step:
-    all of a run's weights, and only in the runs that had one below it,
-    exactly as a lone run would be.  ``callback(step, w, b)`` sees the first
-    run.  Returns w (R, K), b (R,) and the clipped flags (R,).
+    from (w, b).  ``x`` is float64 or a one-byte (``bool`` or ``uint8``)
+    0/1 matrix, which steps with the same float64 bits.  Every run shuffles
+    with its own seed, but all share the step count, so the runs form one
+    ``(R, K+1)`` parameter array under one ADAM.  After every step each
+    weight below ``floor`` is raised onto it, and a run is flagged clipped
+    if any of its weights was ever below it.  ``callback(step, w, b)`` sees
+    the first run.  Returns w (R, K), b (R,) and the clipped flags (R,).
 
-    Each step gathers its minibatch into buffers allocated once per batch
-    shape and updates the parameters in place.  A step that overflows
-    yields inf or NaN without a numpy warning, and the next step's one
-    finiteness reduction turns that into ``ValidationError``.
+    Nothing is allocated per epoch or step.  Each run shuffles its own row
+    of positions in place, with the draws of ``rng.permutation(n)``.  Each
+    step gathers its minibatch into buffers allocated once per batch shape
+    (a one-byte matrix into one of its own dtype, widened by one copy), and
+    updates the parameters in place.  The projection has no branch: the
+    lowest weights seen are kept with ``fmin`` and every weight goes through
+    ``maximum``, which leaves one at or above the floor unchanged.  A step
+    that overflows yields inf or NaN without a numpy warning, and the next
+    step's one finiteness reduction turns that into ``ValidationError``.
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
@@ -324,38 +334,42 @@ def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
     # one copy per fold, not per run; 0/1 labels are exact in float64
     x, u = x.reshape(f * n, k), np.asarray(u, dtype=np.float64).reshape(f * n)
     fold = np.arange(r) if fold is None else fold
-    base = fold[:, None] * n
-    rngs = [np.random.Generator(np.random.PCG64(c.seed)) for c in cfgs]
+    positions, base = np.arange(n), fold[:, None] * n
     params = np.tile(np.append(w, b), (r, 1))
     opt = Adam(params.shape, lr=cfg.learning_rate)
     w, b = params[:, :k], params[:, k]
     columns, shifts = params[:, :k, None], params[:, k:]
-    clipped = np.zeros(r, dtype=bool)
+    floor, lowest = np.array(floor), np.full((r, k), np.inf)
     # Per epoch each run's shuffled labels are gathered once (n floats);
     # x is gathered per step, as a copy of the text model's design matrix
     # per epoch would cost more than it saves.
-    order, shuffled_u = np.arange(n) + base, np.empty((r, n))
+    order, shuffled_u = np.add(positions, base), np.empty((r, n))
+    shuffles = [(np.random.Generator(np.random.PCG64(c.seed)).shuffle, row)
+                for c, row in zip(cfgs, order)]
     size, starts = cfg.batch_size, range(0, n, cfg.batch_size)
-    buffers = {m: _StepBuffers(np.empty((r, m, k)))
-               for m in {min(size, n - start) for start in starts}}
+    widen = x.dtype != np.float64
+    buffers = {}
+    for m in {min(size, n - start) for start in starts}:
+        buf = _StepBuffers(np.empty((r, m, k)))
+        buffers[m] = buf, np.empty((r, m, k), x.dtype) if widen else buf.x
     batches = [(order[:, start:start + size], shuffled_u[:, start:start + size],
-                buffers[min(size, n - start)]) for start in starts]
-    clip = floor > -np.inf
+                *buffers[min(size, n - start)]) for start in starts]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             if cfg.shuffle_each_epoch:
-                np.add(np.stack([rng.permutation(n) for rng in rngs]), base,
-                       out=order)
+                np.add(positions, base, out=order)
+                for shuffle, row in shuffles:
+                    shuffle(row)
             # mode "clip": the indices are in range, and "raise" would
             # gather through a temporary copy of ``out``
             u.take(order, out=shuffled_u, mode="clip")
-            for idx, ub, buf in batches:
-                x.take(idx, axis=0, out=buf.x, mode="clip")
+            for idx, ub, buf, rows in batches:
+                x.take(idx, axis=0, out=rows, mode="clip")
+                if widen:
+                    np.copyto(buf.x, rows)
                 opt.step(params, _gradient(columns, shifts, buf.x, ub, cfg.l2, buf))
-                if clip and np.fmin.reduce(w, axis=None) < floor:
-                    low = (w < floor).any(axis=1)
-                    clipped |= low
-                    w[low] = np.maximum(w[low], floor)
+                np.fmin(lowest, w, out=lowest)
+                np.maximum(w, floor, out=w)
                 if callback is not None:
                     callback(opt.t, w[0], float(b[0]))
-    return w, b, clipped
+    return w, b, (lowest < floor).any(axis=1)

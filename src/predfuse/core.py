@@ -5,7 +5,9 @@ Everything downstream works on three value types: a labelled sample set
 (:class:`ProbSeries`), and K named columns sharing one id set
 (:class:`PredictionMatrix`).  Alignment is always by sample id, never by row
 order, ``accuracy``'s included, so files may list samples in any order
-without silently misjoining; ``align_to`` takes only unique ids.
+without silently misjoining; ``align_to`` takes only unique ids, and
+``thresholded_distance`` pairs two id-keyed series by id or two arrays by
+position, never one of each.
 Ids and values are checked once: a public constructor checks plain ids
 (strings, non-empty, unique; a private ``SampleIds`` passes) and the values,
 and ``select``, ``column``, ``restrict``, the join (``from_columns``, which
@@ -410,18 +412,23 @@ def thresholded_norm(values, t: float = 0.5) -> float:
 def thresholded_distance(y, z, t: float = 0.5) -> float:
     """Euclidean distance between two hardened series.
 
-    Its square is the Hamming distance of the class assignments.
+    Its square is the Hamming distance of the class assignments.  Two
+    id-keyed series (``ProbSeries`` or ``LabelVector``) are paired by id,
+    two arrays by position; one of each is rejected.
     """
-    ids_y = y.ids if isinstance(y, (ProbSeries, LabelVector)) else None
-    ids_z = z.ids if isinstance(z, (ProbSeries, LabelVector)) else None
-    vy = y.values if ids_y is not None else np.asarray(y, dtype=np.float64)
-    vz = z.values if ids_z is not None else np.asarray(z, dtype=np.float64)
-    if ids_y is not None and ids_z is not None:
-        vz = _align_values(ids_z, vz, ids_y, what="second series")
-    elif len(vy) != len(vz):
-        raise AlignmentError(
-            f"series lengths differ: {len(vy)} vs {len(vz)}"
-        )
+    keyed = (ProbSeries, LabelVector)
+    if isinstance(y, keyed) != isinstance(z, keyed):
+        raise ValidationError(
+            "thresholded_distance pairs two id-keyed series by id or two "
+            f"arrays by position, got {type(y).__name__} and {type(z).__name__}")
+    if isinstance(y, keyed):
+        vy, vz = y.values, _align_values(z.ids, z.values, y.ids,
+                                         what="second series")
+    else:
+        vy, vz = np.asarray(y, dtype=np.float64), np.asarray(z, dtype=np.float64)
+        if len(vy) != len(vz):
+            raise AlignmentError(
+                f"series lengths differ: {len(vy)} vs {len(vz)}")
     diff = harden(vy, t) - harden(vz, t)
     return float(np.sqrt(int((diff * diff).sum())))
 

@@ -7,6 +7,9 @@ minibatch-ADAM loop, kernels and hyperparameter checks (``TrainConfig``),
 with unconstrained weights, no L2, and bias = -b in sigmoid(x @ w - b).
 The vocabulary maps each token to its column once, so encoding a corpus
 sets each document's present columns, with no loop over the vocabulary.
+Training keeps that design matrix at one byte per entry (``uint8``); the
+loop widens each minibatch to float64, so the trained bits are those of a
+float64 matrix, and :func:`encode` still returns float64.
 
 Corpus format: one document per line; labels in a CSV aligned by 0-based
 line number.
@@ -84,15 +87,15 @@ def encode(doc: str, vocab: Vocabulary) -> np.ndarray:
     return _encode_rows([tokenize(doc)], vocab)[0]
 
 
-def _encode_rows(token_lists, vocab: Vocabulary) -> np.ndarray:
+def _encode_rows(token_lists, vocab: Vocabulary, dtype=np.float64) -> np.ndarray:
     """The (n, V) matrix of the presence vectors of n documents' tokens."""
     column, rows, cols = vocab._columns, [], []
     for row, tokens in enumerate(token_lists):
         present = {column[t] for t in tokens if t in column}
         rows.extend([row] * len(present))
         cols.extend(present)
-    x = np.zeros((len(token_lists), vocab.size))
-    x[rows, cols] = 1.0
+    x = np.zeros((len(token_lists), vocab.size), dtype)
+    x[rows, cols] = 1
     return x
 
 
@@ -129,7 +132,8 @@ def train_logistic(docs, labels, v_size: int, epochs: int = TrainConfig.epochs,
                       l2=0.0, seed=seed)
     token_lists = [tokenize(doc) for doc in docs]
     vocab = _ranked_vocab(token_lists, v_size)
-    x = _encode_rows(token_lists, vocab)
+    # one byte per entry: the loop widens each minibatch to float64
+    x = _encode_rows(token_lists, vocab, np.uint8)
     w, b, _ = _fit(x[None], u[None], np.zeros(vocab.size), 0.0, [cfg], -np.inf)
     w = w[0]
     w.setflags(write=False)

@@ -10,6 +10,8 @@ from predfuse import (CombinerWeights, ConstraintError, TrainConfig,
                       ValidationError, accuracy, derive_seed, forward,
                       gradient, kfold_split, loss, predict, raw_score, train,
                       train_runs)
+from predfuse.combiner import _fit, _gradient
+from predfuse.optim import Adam
 from predfuse.synth import SyntheticSpec, generate
 
 from conftest import make_labels, make_matrix
@@ -352,3 +354,66 @@ class TestTrainRuns:
         folds[1] = (m.select(["M2", "M1", "M3"]), labels)
         with pytest.raises(ValidationError, match="same models"):
             train_runs(folds, runs)
+
+
+def reference_fit(x, u, w, b, cfgs, floor, fold):
+    """The lock-step loop as it read before it allocated nothing: stacked
+    ``rng.permutation`` arrays per epoch, a fresh float64 minibatch per step,
+    and a projection only in the runs whose lowest weight fell below the
+    floor."""
+    cfg = cfgs[0]
+    f, n, k = x.shape
+    x, u = x.reshape(f * n, k).astype(np.float64), u.reshape(f * n)
+    base = fold[:, None] * n
+    rngs = [np.random.Generator(np.random.PCG64(c.seed)) for c in cfgs]
+    params = np.tile(np.append(w, b), (len(cfgs), 1))
+    opt = Adam(params.shape, lr=cfg.learning_rate)
+    w = params[:, :k]
+    clipped = np.zeros(len(cfgs), dtype=bool)
+    order = np.arange(n) + base
+    for _ in range(cfg.epochs):
+        if cfg.shuffle_each_epoch:
+            order = np.stack([rng.permutation(n) for rng in rngs]) + base
+        for start in range(0, n, cfg.batch_size):
+            idx = order[:, start:start + cfg.batch_size]
+            opt.step(params, _gradient(params[:, :k, None], params[:, k:],
+                                       x[idx], u[idx], cfg.l2))
+            if floor > -np.inf and np.fmin.reduce(w, axis=None) < floor:
+                low = (w < floor).any(axis=1)
+                clipped |= low
+                w[low] = np.maximum(w[low], floor)
+    return w, params[:, k], clipped
+
+
+def test_fit_matches_the_reference_loop(rng):
+    """The training loop gives the reference loop's bytes for any run and
+    fold count, ragged or even batches, shuffling on and off, a floor of 0
+    or none, and float64 or one-byte 0/1 inputs."""
+    clipped_seen = set()
+    for case in range(60):
+        n_folds, r = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        n, k = int(rng.integers(5, 70)), int(rng.integers(1, 5))
+        dtype = (np.float64, np.uint8, np.bool_)[case % 3]
+        floor = (0.0, -np.inf)[case // 3 % 2]
+        u = rng.integers(0, 2, size=(n_folds, n)).astype(float)
+        if dtype is np.float64:
+            x = rng.uniform(0, 1, size=(n_folds, n, k))
+        else:
+            x = rng.integers(0, 2, size=(n_folds, n, k)).astype(dtype)
+        cfgs = [TrainConfig(learning_rate=float(rng.uniform(0.01, 0.2)),
+                            epochs=int(rng.integers(1, 5)),
+                            batch_size=int(rng.integers(1, n + 3)),
+                            l2=float(rng.choice([0.0, 0.039])),
+                            seed=int(rng.integers(0, 2**32)),
+                            shuffle_each_epoch=bool(case // 6 % 2))]
+        cfgs += [replace(cfgs[0], seed=int(rng.integers(0, 2**32)))
+                 for _ in range(r - 1)]
+        fold = rng.integers(0, n_folds, size=r)
+        w0, b0 = rng.uniform(0, 0.1, size=k), float(rng.uniform(-1, 1))
+        got = _fit(x, u, w0, b0, cfgs, floor, fold=fold)
+        want = reference_fit(x, u, w0, b0, cfgs, floor, fold)
+        for g, e in zip(got, want):
+            assert g.shape == e.shape and g.dtype == e.dtype
+            assert g.tobytes() == e.tobytes()
+        clipped_seen.update(got[2].tolist())
+    assert clipped_seen == {True, False}

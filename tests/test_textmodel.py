@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,23 @@ class TestTrain:
         with pytest.raises(ValidationError, match="^sigmoid input must be finite$"):
             train_logistic(docs, [1, 0, 1, 0], v_size=5, epochs=20, lr=1e308,
                            seed=0)
+
+    def test_peak_memory_is_below_half_the_float64_design_matrix(self):
+        # The loop trains from a one-byte design matrix.  A float64 one of
+        # 2,000 documents by 300 columns alone is 4.8 MB.
+        rng = np.random.default_rng(11)
+        words = [f"w{i}" for i in range(600)]
+        docs = [" ".join(rng.choice(words, size=rng.integers(8, 21)))
+                for _ in range(2000)]
+        labels = rng.integers(0, 2, size=2000).tolist()
+        tracemalloc.start()
+        try:
+            model = train_logistic(docs, labels, v_size=300, epochs=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.weights.shape == (300,)
+        assert peak < 2000 * 300 * 8 / 2
 
     @pytest.mark.parametrize("kwargs, culprit", [
         ({"seed": -1}, "seed"),
