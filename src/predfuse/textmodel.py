@@ -88,7 +88,8 @@ def encode(doc: str, vocab: Vocabulary) -> np.ndarray:
 
 
 def _encode_rows(token_lists, vocab: Vocabulary, dtype=np.float64) -> np.ndarray:
-    """The (n, V) matrix of the presence vectors of n documents' tokens."""
+    """The (n, V) matrix, in ``dtype``, of the presence vectors of n
+    documents' tokens."""
     column, rows, cols = vocab._columns, [], []
     for row, tokens in enumerate(token_lists):
         present = {column[t] for t in tokens if t in column}
