@@ -10,6 +10,7 @@ import pytest
 import predfuse
 from predfuse import LabelVector, core, evaluate, io_files
 from predfuse.cli import _grid, main
+from predfuse.combiner import TrainConfig
 from predfuse.evaluate import parse_report
 from predfuse.hybrid import default_theta_grid
 from predfuse.io_files import load_prediction_file
@@ -541,3 +542,129 @@ class TestCv:
         assert len(lines) == 2
         report = parse_report(read(out))
         assert report.stdev == 0.0
+
+
+def _bad_labels(path, tmp_path, edit):
+    """A copy of the label file at ``path`` whose ids differ from the
+    predictions' by ``edit``, and the id it lacks (None for ``extra``)."""
+    labels = io_files.load_label_file(path)
+    ids, values, gone = list(labels.ids), list(labels.values), labels.ids[2]
+    if edit == "missing":
+        del ids[2], values[2]
+    elif edit == "extra":
+        ids, values, gone = ids + ["zz"], values + [1], None
+    else:  # renamed: one id missing and one extra
+        ids[2] = "zz"
+    bad = tmp_path / f"bad-{edit}.csv"
+    io_files.save_label_file(bad, LabelVector(ids, values))
+    return str(bad), gone
+
+
+def _align_error(gone):
+    """``align_to``'s message for labels lacking ``gone`` (None: extra zz)."""
+    return ("labels have extra sample id 'zz'" if gone is None
+            else f"labels are missing sample id {gone!r}")
+
+
+_EDITS = ["missing", "extra", "renamed"]
+_CV_METHODS = [("--method", "nn"), ("--method", "sum"),
+               ("--method", "hybrid", "--hybrid-base", "M3",
+                "--hybrid-aux", "M1", "M2")]
+
+
+class TestLabelIdsDifferFromPreds:
+    """A label file whose ids differ from its predictions' fails where the
+    command first pairs labels with rows, with the same message and exit
+    code however the files are read; a model-name fault met first wins."""
+
+    @staticmethod
+    def argv(command, suite, labels, weights, *flags):
+        preds = suite["train_preds"]
+        return {"train-nn": ["train-nn", "--preds", *preds, "--labels", labels,
+                             "--epochs", "2"],
+                "sweep-theta": ["sweep-theta", "--preds", *preds,
+                                "--labels", labels, *flags],
+                "check-bound": ["check-bound", "--weights", str(weights),
+                                "--preds", *preds, "--labels", labels]}[command]
+
+    @pytest.mark.parametrize("edit", _EDITS)
+    @pytest.mark.parametrize("command", ["train-nn", "sweep-theta", "check-bound"])
+    def test_one_suite_commands(self, suite, tmp_path, capsys, command, edit):
+        weights, out = tmp_path / "w.json", tmp_path / "out"
+        assert main(_train_nn_args(suite, weights)) == 0
+        labels, gone = _bad_labels(suite["train_labels"], tmp_path, edit)
+        argv = self.argv(command, suite, labels, weights,
+                         "--base", "M3", "--aux", "M1", "M2")
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "", f"predfuse: invalid input: {_align_error(gone)}\n")
+
+    @pytest.mark.parametrize("edit", _EDITS)
+    @pytest.mark.parametrize("flags, message", [
+        (("--base", "M9", "--aux", "M1", "M2"),
+         "unknown model 'M9'; have ['M1', 'M2', 'M3']"),
+        (("--base", "M3", "--aux", "M3", "M2"),
+         "base model 'M3' also listed as auxiliary"),
+    ], ids=["unknown-base", "base-in-aux"])
+    def test_sweep_theta_model_fault_wins(self, suite, tmp_path, capsys,
+                                          edit, flags, message):
+        labels, _ = _bad_labels(suite["train_labels"], tmp_path, edit)
+        out = tmp_path / "out"
+        argv = self.argv("sweep-theta", suite, labels, None, *flags)
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == ("", f"predfuse: invalid input: {message}\n")
+
+    @pytest.mark.parametrize("edit", _EDITS)
+    @pytest.mark.parametrize("method", _CV_METHODS, ids=["nn", "rule", "hybrid"])
+    def test_cv_test_labels(self, suite, tmp_path, capsys, method, edit):
+        labels, gone = _bad_labels(suite["test_labels"], tmp_path, edit)
+        out = tmp_path / "report.tsv"
+        assert main(_cv_args(dict(suite, test_labels=labels), out, *method)) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "", f"predfuse: invalid input: {_align_error(gone)}\n")
+
+    @pytest.mark.parametrize("edit", _EDITS)
+    @pytest.mark.parametrize("method", _CV_METHODS, ids=["nn", "rule", "hybrid"])
+    def test_cv_train_labels(self, suite, tmp_path, capsys, method, edit):
+        """Each fold takes the train labels of its own ids, so an extra id
+        passes, and a rule, which trains nothing, takes none of them."""
+        clean, out = tmp_path / "clean.tsv", tmp_path / "report.tsv"
+        assert main(_cv_args(suite, clean, *method)) == 0
+        labels, gone = _bad_labels(suite["train_labels"], tmp_path, edit)
+        code = main(_cv_args(dict(suite, train_labels=labels), out, *method))
+        if gone is None or method[1] == "sum":
+            assert code == 0 and read(out) == read(clean)
+            assert capsys.readouterr() == ("", "")
+        else:
+            assert code == 2 and not out.exists()
+            assert capsys.readouterr() == (
+                "", f"predfuse: invalid input: labels have no sample id {gone!r}\n")
+
+    @pytest.mark.parametrize("edit", _EDITS)
+    @pytest.mark.parametrize("side", ["train_labels", "test_labels"])
+    @pytest.mark.parametrize("base, aux", [("M9", ("M1", "M2")), ("M3", ("M3", "M2"))],
+                             ids=["unknown-base", "base-in-aux"])
+    def test_cv_hybrid_double_faults(self, suite, tmp_path, capsys,
+                                     edit, side, base, aux):
+        """A base listed in aux is refused before any file is read.  An
+        unknown base is met only when the first fold is swept: after the
+        test labels are paired and that fold's train labels taken."""
+        labels, gone = _bad_labels(suite[side], tmp_path, edit)
+        ids = load_prediction_file(suite["train_preds"][0]).ids
+        first_fold = evaluate.kfold_split(ids, 2, TrainConfig.seed).folds[0]
+        out = tmp_path / "report.tsv"
+        code = main(_cv_args(dict(suite, **{side: labels}), out, "--method",
+                             "hybrid", "--hybrid-base", base, "--hybrid-aux", *aux))
+        if base in aux:
+            message = f"base model {base!r} also listed as auxiliary"
+        elif side == "test_labels":
+            message = _align_error(gone)
+        elif gone in first_fold:
+            message = f"labels have no sample id {gone!r}"
+        else:
+            message = "unknown model 'M9'; have ['M1', 'M2', 'M3']"
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr() == ("", f"predfuse: invalid input: {message}\n")
