@@ -171,8 +171,7 @@ def _hybrid_models(args) -> tuple[str, tuple[str, ...]]:
 
 def _cmd_train_nn(args) -> None:
     cfg, t = _train_config(args), check_threshold(args.threshold)
-    matrix = io_files.load_matrix(args.preds)
-    labels = io_files.load_label_file(args.labels)
+    matrix, labels = io_files.load_suite(args.preds, args.labels)
     io_files.save_weights(args.out, train(matrix, labels, cfg, t=t))
 
 
@@ -208,8 +207,7 @@ def _cmd_eval(args) -> None:
 
 def _cmd_sweep_theta(args) -> None:
     method = HybridMethod(args.base, tuple(args.aux), args.rule, tuple(args.grid or ()))
-    matrix = io_files.load_matrix(args.preds)
-    labels = io_files.load_label_file(args.labels)
+    matrix, labels = io_files.load_suite(args.preds, args.labels)
     sweep = theta_sweep(method.base, method.aux, method.rule, matrix, labels,
                         method.grid or None)
     _emit(sweep.to_tsv(), args.out)
@@ -217,8 +215,7 @@ def _cmd_sweep_theta(args) -> None:
 
 def _cmd_check_bound(args) -> None:
     result = io_files.load_weights(args.weights)
-    matrix = io_files.load_matrix(args.preds)
-    labels = io_files.load_label_file(args.labels)
+    matrix, labels = io_files.load_suite(args.preds, args.labels)
     rep = weight_sum_bounds(result.weights, matrix, labels)
     lines = ["W\tlower\tupper\tcontained\tnorm_u\terr_y\terr_yhat\tdegenerate",
              "\t".join([repr(rep.W), repr(rep.lower), repr(rep.upper),
@@ -238,10 +235,8 @@ def _cmd_cv(args) -> None:
         method = RuleMethod(args.method)
     plan = RunPlan(n_folds=args.folds, repeats_per_fold=args.repeats,
                    seed=args.seed)
-    train_m = io_files.load_matrix(args.train_preds)
-    train_u = io_files.load_label_file(args.train_labels)
-    test_m = io_files.load_matrix(args.test_preds)
-    test_u = io_files.load_label_file(args.test_labels)
+    train_m, train_u = io_files.load_suite(args.train_preds, args.train_labels)
+    test_m, test_u = io_files.load_suite(args.test_preds, args.test_labels)
     report = cross_validate(plan, train_m, train_u, test_m, test_u, method)
     _emit(report_render(report, include_runs=not args.summary_only), args.out)
 

@@ -11,9 +11,9 @@ position, never one of each.
 Ids and values are checked once: a public constructor checks plain ids
 (strings, non-empty, unique; a private ``SampleIds`` passes) and the values,
 and ``select``, ``column``, ``restrict``, the join (``from_columns``, which
-checks only the model names), the file reader, ``predict``, ``apply_rule``,
-``synth.generate`` and the hybrid's combined column build from checked parts
-through the private ``_of_checked``.
+checks only the model names), the file reader and its suite index,
+``predict``, ``apply_rule``, ``synth.generate`` and the hybrid's combined
+column build from checked parts through the private ``_of_checked``.
 
 The norm operations harden a real-valued series with the ``>= t`` rule first
 and then take the Euclidean norm of the resulting 0/1 vector.  They accept
@@ -101,15 +101,28 @@ def _check_ids(ids) -> SampleIds:
     return out
 
 
+def _index_of(ids) -> dict[str, int]:
+    """``{id: row}`` over ``ids``; it holds fewer entries than ``ids`` when
+    an id repeats, so it also checks them unique."""
+    return dict(zip(ids, range(len(ids))))
+
+
+def _rows_in(index: dict[str, int], ids) -> np.ndarray:
+    """Row ``index`` gives each of ``ids``, or -1 for an id it lacks."""
+    return np.fromiter(map(index.get, ids, repeat(-1)), np.intp, len(ids))
+
+
 def _rows_of(ids: tuple[str, ...], wanted, missing: str) -> np.ndarray:
     """Row index in ``ids`` of each wanted id; AlignmentError names the first
     missing one.  ``wanted`` holds unique ids, as ``_as_ids`` makes them.
 
-    The dict is over ``wanted`` and ``ids`` is scanned once, so a fold's
-    restrict, which wants a fifth of the rows, indexes only those.
+    Rows are paired by id one way, here as in the file reader: an index over
+    one side (:func:`_index_of`) and one lookup of the other side's ids in it
+    (:func:`_rows_in`).  Here the index is over ``wanted``, so a fold's
+    restrict, which wants a fifth of the rows, indexes only those; the reader
+    indexes a suite's first file and looks up every later file's ids.
     """
-    slot = {sid: j for j, sid in enumerate(wanted)}
-    where = np.fromiter(map(slot.get, ids, repeat(-1)), np.intp, len(ids))
+    where = _rows_in(_index_of(wanted), ids)
     hit = np.flatnonzero(where >= 0)
     where = where[hit]  # the full scan is freed before rows is made
     rows = np.full(len(wanted), -1)
@@ -243,16 +256,18 @@ class PredictionMatrix:
             cls, columns: Iterable[tuple[str, ProbSeries]]) -> "PredictionMatrix":
         """Join named series on their common id set (order of the first column).
 
-        This is the package's one join of prediction columns: every series
-        must carry exactly the first one's ids, in any order, and an
-        AlignmentError names the model and an id that one side lacks.
+        Every series must carry exactly the first one's ids, in any order,
+        and an AlignmentError names the model and an id that one side lacks.
+        A series whose ids equal the first one's, in order, is taken as it
+        is: the suite loader (``io_files.load_matrix``) places each later
+        file into an index over the first file's ids as it reads it, so
+        only a file it declines reaches this join with ids of its own.
 
         ``columns``, ``(name, ProbSeries)`` pairs, is read once, keeping only
-        the first series' ids and the aligned values, so a generator reading
-        a file per series holds one file's ids besides the first.  A join
-        error is raised once the rest is read, so an error the iterable
-        raises wins.  Only ``ProbSeries`` are taken, as their values are
-        already checked probabilities; the names are checked.
+        the first series' ids and the aligned values.  A join error is
+        raised once the rest is read, so an error the iterable raises wins.
+        Only ``ProbSeries`` are taken, as their values are already checked
+        probabilities; the names are checked.
         """
         names, cols, error = [], [], None
         for name, series in columns:

@@ -11,6 +11,14 @@ every line) is parsed in one pass over its bytes.  Every file that pass
 declines is read again by the ``csv`` row scanner, which decides it, so
 every error, with its ``file:line``, is the scanner's.  Either way the ids
 and values come back checked, and the loaders check neither again.
+
+A suite (``load_matrix``, ``load_suite``) has one id index: a ``{id: row}``
+dict over its first prediction file's ids, built as that file's duplicate
+check.  Each later prediction file, and the label file, is placed into it
+chunk by chunk as it is read, so it holds no ids, set or dict of its own.
+A file the placing pass declines (not plain, or not exactly the first
+file's ids) is read again as a file of its own, and the join or the
+caller's alignment decides it just as for a file read alone.
 """
 
 from __future__ import annotations
@@ -30,12 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from .combiner import CombinerWeights, TrainConfig, TrainResult
-from .core import LabelVector, PredictionMatrix, ProbSeries, SampleIds, _of_checked
+from .core import (LabelVector, PredictionMatrix, ProbSeries, SampleIds,
+                   _index_of, _of_checked, _rows_in)
 from .errors import ValidationError
 from .evaluate import EvalReport, parse_report, report_render
 
 __all__ = ["load_prediction_file", "save_prediction_file", "load_label_file",
-           "save_label_file", "load_matrix", "save_matrix_files",
+           "save_label_file", "load_matrix", "load_suite", "save_matrix_files",
            "save_weights", "load_weights", "save_report", "load_report",
            "atomic_write_text"]
 
@@ -85,25 +94,52 @@ def _atomic_write(writes) -> None:
 _CHUNK_BYTES = 1 << 14
 
 
-def _read_csv(path, column: str) -> tuple[SampleIds, np.ndarray]:
+class _SuiteIndex:
+    """The id index of one suite being loaded: the ids of its first
+    prediction file and a ``{id: row}`` dict over them, built as that file's
+    duplicate check.  Every later file of the suite, prediction or label
+    file, is placed into those rows as it is read."""
+
+    def __init__(self):
+        self.ids = self.rows = None
+
+
+def _read_csv(path, column: str, suite: _SuiteIndex | None = None
+              ) -> tuple[SampleIds, np.ndarray]:
     """Checked ids and parsed values of an ``id,<column>`` CSV.
 
     :func:`_parse_plain` reads a plain file in one pass; a file it declines
     is read again from the start by the row scanner (:func:`_scan_rows`),
     which decides it, so every error is the scanner's.
+
+    With a ``suite`` whose first file is read, the file's rows are placed
+    into it and come back keyed by the suite's ids.  A file the placing pass
+    declines is read again as a file of its own, and placed whole if it
+    holds exactly the suite's ids; otherwise it keeps its own ids, and the
+    caller's alignment reports what differs.
     """
+    placing, dtype = suite is not None and suite.rows is not None, _COLUMNS[column][3]
     with open(path, "rb") as fh:
-        # A pipe cannot seek back to the start for the scanner: keep it.
+        # A pipe cannot seek back to the start for a second pass: keep it.
         src = fh if fh.seekable() else io.BytesIO(fh.read())
-        parsed = _parse_plain(src, column)
+        parsed = _parse_plain(src, column, suite)
         if parsed is not None:
             return parsed
-        src.seek(0)
-        ids, values = _scan_rows(src, path, column)
-    return SampleIds(ids), np.asarray(values, dtype=_COLUMNS[column][3])
+        if placing:  # declined: read it again as a file of its own
+            src.seek(0)
+            parsed = _parse_plain(src, column)
+        if parsed is None:
+            src.seek(0)
+            ids, values = _scan_rows(src, path, column)
+            parsed = SampleIds(ids), np.asarray(values, dtype=dtype)
+    if placing:
+        return _place([parsed], suite, dtype) or parsed
+    if suite is not None:  # a first file the scanner read
+        suite.ids, suite.rows = parsed[0], _index_of(parsed[0])
+    return parsed
 
 
-def _parse_plain(fh, column: str):
+def _parse_plain(fh, column: str, suite: _SuiteIndex | None = None):
     """Ids and values of a plain ``id,<column>`` CSV read from binary
     ``fh``, or None.
 
@@ -112,39 +148,89 @@ def _parse_plain(fh, column: str):
     ``\\n`` its ``,`` and ``\\n`` separators strictly alternate: every line
     holds exactly two fields, so ``csv`` would split it the same way.  None
     also when the scanner would reject the header, a field's length, an id
-    or a value, or when no row follows the header.  The rows are read a
-    chunk of whole lines at a time, so every temporary is chunk-sized.
+    or a value, or when no row follows the header.
+
+    The ids are collected and checked unique by a set, or, for the first
+    file of a ``suite``, by the ``{id: row}`` dict that becomes the suite's
+    index.  A later file of a suite is placed into that index instead
+    (:func:`_place`), and None also unless it holds exactly the suite's ids.
     """
-    if fh.readline(64).removeprefix(codecs.BOM_UTF8) != f"id,{column}\n".encode():
-        return None
-    parse_all, limit = _COLUMNS[column][1], csv.field_size_limit()
+    chunks = _plain_chunks(fh, column)
+    if suite is not None and suite.rows is not None:
+        return _place(chunks, suite, _COLUMNS[column][3])
     ids, values = [], []
-    while block := fh.read(_CHUNK_BYTES):
-        block = (block + fh.readline()).removesuffix(b"\n")  # whole lines
-        if b'"' in block or b"\r" in block or b"\0" in block:
+    for chunk in chunks:
+        if chunk is None:
             return None
-        raw = np.frombuffer(block, dtype=np.uint8)
-        cuts = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-        seps = raw[cuts]
-        if (cuts.size % 2 == 0 or (seps[0::2] != ord(",")).any()
-                or (seps[1::2] != ord("\n")).any()):
-            return None  # a line without exactly one comma, or a blank one
-        # Field sizes in bytes, an upper bound on their sizes in characters.
-        sizes = np.diff(cuts, prepend=-1, append=raw.size) - 1
-        if sizes.max() > limit or (sizes[0::2] == 0).any():
-            return None  # a field csv finds too long, or an empty id
-        try:
-            fields = block.decode("utf-8").replace("\n", ",").split(",")
-        except UnicodeDecodeError:
-            return None
-        part = parse_all(fields[1::2])
-        if part is None:
-            return None
-        ids += fields[0::2]
-        values.append(part)
-    if not ids or len(set(ids)) != len(ids):
+        ids += chunk[0]
+        values.append(chunk[1])
+    seen = set(ids) if suite is None else _index_of(ids)
+    if not ids or len(seen) != len(ids):
         return None
-    return SampleIds(ids), np.concatenate(values)
+    ids = SampleIds(ids)
+    if suite is not None:
+        suite.ids, suite.rows = ids, seen
+    return ids, np.concatenate(values)
+
+
+def _place(chunks, suite: _SuiteIndex, dtype):
+    """The suite's ids and the values of ``chunks``, ``(ids, values)``
+    pairs, placed at the suite's rows of their ids; None after a None chunk,
+    or unless the chunks hold each of the suite's ids exactly once."""
+    n = len(suite.ids)
+    values, hit, count = np.empty(n, dtype=dtype), np.zeros(n, dtype=bool), 0
+    for chunk in chunks:
+        if chunk is None:
+            return None
+        ids, part = chunk
+        rows = _rows_in(suite.rows, ids)
+        if (rows < 0).any():
+            return None  # an id the suite's first file lacks
+        values[rows] = part
+        hit[rows] = True
+        count += rows.size
+    if count != n or not hit.all():
+        return None  # an id missing or repeated
+    return suite.ids, values
+
+
+def _plain_chunks(fh, column: str):
+    """The ``(ids, values)`` of each chunk of whole lines of a plain
+    ``id,<column>`` CSV (:func:`_parse_plain`), so every temporary is
+    chunk-sized; a last None where the file is found not plain."""
+    if fh.readline(64).removeprefix(codecs.BOM_UTF8) != f"id,{column}\n".encode():
+        yield None
+        return
+    parse_all, limit = _COLUMNS[column][1], csv.field_size_limit()
+    while block := fh.read(_CHUNK_BYTES):
+        chunk = _plain_chunk((block + fh.readline()).removesuffix(b"\n"),
+                             parse_all, limit)
+        yield chunk
+        if chunk is None:
+            return
+
+
+def _plain_chunk(block: bytes, parse_all, limit: int):
+    """Ids and parsed values of ``block``, whole lines of a plain file
+    without the last ``\\n``, or None if they are not plain."""
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        return None
+    raw = np.frombuffer(block, dtype=np.uint8)
+    cuts = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    seps = raw[cuts]
+    if (cuts.size % 2 == 0 or (seps[0::2] != ord(",")).any()
+            or (seps[1::2] != ord("\n")).any()):
+        return None  # a line without exactly one comma, or a blank one
+    # Field sizes in bytes, an upper bound on their sizes in characters.
+    sizes = np.diff(cuts, prepend=-1, append=raw.size) - 1
+    if sizes.max() > limit or (sizes[0::2] == 0).any():
+        return None  # a field csv finds too long, or an empty id
+    try:
+        fields = block.decode("utf-8").replace("\n", ",").split(",")
+    except UnicodeDecodeError:
+        return None
+    part = parse_all(fields[1::2])
+    return None if part is None else (fields[0::2], part)
 
 
 def _scan_rows(fh, path, column: str) -> tuple[list[str], list]:
@@ -282,11 +368,29 @@ def load_matrix(paths, names=None) -> PredictionMatrix:
     """Join prediction files on their sample ids into one matrix.
 
     The join is strict: every file must carry exactly the same id set (in
-    any order).  Model names default to the file stems.  Files are read one
-    at a time into the join, so a file's ids are freed once its column is
-    aligned; every file is still read, and a file that fails to parse wins
-    over a join error in an earlier one.
+    any order).  Model names default to the file stems.  The first file's
+    ids are indexed once; each later file is placed into that index as it
+    is read, so it holds no ids of its own (:func:`_read_csv`).  Every file
+    is still read, and a file that fails to parse wins over a join error in
+    an earlier one.
     """
+    return _load_suite(paths, names)
+
+
+def load_suite(paths, labels, names=None) -> tuple[PredictionMatrix, LabelVector]:
+    """:func:`load_matrix` of ``paths``, then the label file ``labels``
+    placed into the same id index.
+
+    Labels that hold exactly the matrix's ids come back keyed by the
+    matrix's own ``ids`` tuple.  Any other label file comes back as
+    :func:`load_label_file` reads it, so the caller's ``align_to`` or
+    ``restrict`` fails on it just where it would on that.  The label file is
+    read only once the matrix is joined.
+    """
+    return _load_suite(paths, names, labels)
+
+
+def _load_suite(paths, names, labels=None):
     paths = [Path(p) for p in paths]
     if not paths:
         raise ValidationError("no prediction files given")
@@ -295,8 +399,14 @@ def load_matrix(paths, names=None) -> PredictionMatrix:
     names = [str(n) for n in names]
     if len(names) != len(paths):
         raise ValidationError(f"{len(paths)} files but {len(names)} model names")
-    return PredictionMatrix.from_columns(
-        (name, load_prediction_file(path)) for name, path in zip(names, paths))
+    # One file and no labels: nothing is placed, so nothing is indexed.
+    suite = _SuiteIndex() if len(paths) > 1 or labels is not None else None
+    matrix = PredictionMatrix.from_columns(
+        (name, _of_checked(ProbSeries, *_read_csv(path, "prob", suite)))
+        for name, path in zip(names, paths))
+    if labels is None:
+        return matrix
+    return matrix, _of_checked(LabelVector, *_read_csv(labels, "label", suite))
 
 
 def save_matrix_files(out_dir, matrix: PredictionMatrix,
