@@ -112,11 +112,11 @@ def _read_csv(path, column: str, suite: _SuiteIndex | None = None
     is read again from the start by the row scanner (:func:`_scan_rows`),
     which decides it, so every error is the scanner's.
 
-    With a ``suite`` whose first file is read, the file's rows are placed
-    into it and come back keyed by the suite's ids.  A file the placing pass
-    declines is read again as a file of its own, and placed whole if it
-    holds exactly the suite's ids; otherwise it keeps its own ids, and the
-    caller's alignment reports what differs.
+    With a ``suite``, the first file read becomes its index.  Each later
+    file is placed into it and comes back keyed by the suite's ids.  A file
+    the placing pass declines is read again as a file of its own, and
+    placed whole if it holds exactly the suite's ids; otherwise it keeps
+    its own ids, and the caller's alignment reports what differs.
     """
     placing, dtype = suite is not None and suite.rows is not None, _COLUMNS[column][3]
     with open(path, "rb") as fh:

@@ -353,8 +353,9 @@ class TestLoadMatrix:
     def test_later_files_and_labels_hold_no_ids_of_their_own(self, tmp_path):
         """K = 4 shuffled 20k-row files and a shuffled label file, loaded
         as one suite: only the first file's ids, and one index over them,
-        are ever held.  Joining each later file on ids of its own, and
-        keeping the labels' ids, peaked at 5.98 MB with 3.30 MB live."""
+        are ever held.  The bounds sit between this (3.6 MB peak, 2.0 MB
+        live) and reading every file with ids of its own, then aligning it
+        (6.0 MB peak, 3.3 MB live)."""
         labels, matrix = generate(SyntheticSpec(
             k=4, target_acc=(0.8, 0.82, 0.85, 0.9), n=20_000, seed=3))
         rng = np.random.default_rng(7)
