@@ -13,9 +13,9 @@ every error, with its ``file:line``, is the scanner's.  Either way the ids
 and values come back checked, and the loaders check neither again.
 
 A suite (``load_matrix``, ``load_suite``) has one id index: a ``{id: row}``
-dict over its first prediction file's ids, built as that file's duplicate
-check.  Each later prediction file, and the label file, is placed into it
-chunk by chunk as it is read, so it holds no ids, set or dict of its own.
+dict over its first prediction file's ids, built once that file is read.
+Each later prediction file, and the label file, is placed into it chunk by
+chunk as it is read, so it holds no ids, set or dict of its own.
 A file the placing pass declines (not plain, or not exactly the first
 file's ids) is read again as a file of its own, and the join or the
 caller's alignment decides it just as for a file read alone.
@@ -32,7 +32,7 @@ import os
 import re
 import tempfile
 from dataclasses import fields
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -94,52 +94,40 @@ def _atomic_write(writes) -> None:
 _CHUNK_BYTES = 1 << 14
 
 
-class _SuiteIndex:
-    """The id index of one suite being loaded: the ids of its first
-    prediction file and a ``{id: row}`` dict over them, built as that file's
-    duplicate check.  Every later file of the suite, prediction or label
-    file, is placed into those rows as it is read."""
-
-    def __init__(self):
-        self.ids = self.rows = None
-
-
-def _read_csv(path, column: str, suite: _SuiteIndex | None = None
-              ) -> tuple[SampleIds, np.ndarray]:
+def _read_csv(path, column: str, suite=None) -> tuple[SampleIds, np.ndarray]:
     """Checked ids and parsed values of an ``id,<column>`` CSV.
 
     :func:`_parse_plain` reads a plain file in one pass; a file it declines
     is read again from the start by the row scanner (:func:`_scan_rows`),
     which decides it, so every error is the scanner's.
 
-    With a ``suite``, the first file read becomes its index.  Each later
-    file is placed into it and comes back keyed by the suite's ids.  A file
-    the placing pass declines is read again as a file of its own, and
-    placed whole if it holds exactly the suite's ids; otherwise it keeps
-    its own ids, and the caller's alignment reports what differs.
+    ``suite``, the ids of a suite's first file and the ``{id: row}`` index
+    over them, has the file placed into those rows as it is read
+    (:func:`_place`), so it comes back keyed by the suite's ids.  A file
+    the placing pass declines is read as a file of its own, and placed
+    whole if it holds exactly the suite's ids; otherwise it keeps its own
+    ids, and the caller's alignment reports what differs.
     """
-    placing, dtype = suite is not None and suite.rows is not None, _COLUMNS[column][3]
+    dtype = _COLUMNS[column][3]
     with open(path, "rb") as fh:
         # A pipe cannot seek back to the start for a second pass: keep it.
         src = fh if fh.seekable() else io.BytesIO(fh.read())
-        parsed = _parse_plain(src, column, suite)
-        if parsed is not None:
-            return parsed
-        if placing:  # declined: read it again as a file of its own
+        if suite is not None:
+            placed = _place(_plain_chunks(src, column), *suite, dtype)
+            if placed is not None:
+                return placed
             src.seek(0)
-            parsed = _parse_plain(src, column)
+        parsed = _parse_plain(src, column)
         if parsed is None:
             src.seek(0)
             ids, values = _scan_rows(src, path, column)
             parsed = SampleIds(ids), np.asarray(values, dtype=dtype)
-    if placing:
-        return _place([parsed], suite, dtype) or parsed
-    if suite is not None:  # a first file the scanner read
-        suite.ids, suite.rows = parsed[0], _index_of(parsed[0])
+    if suite is not None and len(parsed[0]) == len(suite[0]):
+        return _place([parsed], *suite, dtype) or parsed
     return parsed
 
 
-def _parse_plain(fh, column: str, suite: _SuiteIndex | None = None):
+def _parse_plain(fh, column: str):
     """Ids and values of a plain ``id,<column>`` CSV read from binary
     ``fh``, or None.
 
@@ -149,49 +137,36 @@ def _parse_plain(fh, column: str, suite: _SuiteIndex | None = None):
     holds exactly two fields, so ``csv`` would split it the same way.  None
     also when the scanner would reject the header, a field's length, an id
     or a value, or when no row follows the header.
-
-    The ids are collected and checked unique by a set, or, for the first
-    file of a ``suite``, by the ``{id: row}`` dict that becomes the suite's
-    index.  A later file of a suite is placed into that index instead
-    (:func:`_place`), and None also unless it holds exactly the suite's ids.
     """
-    chunks = _plain_chunks(fh, column)
-    if suite is not None and suite.rows is not None:
-        return _place(chunks, suite, _COLUMNS[column][3])
     ids, values = [], []
-    for chunk in chunks:
+    for chunk in _plain_chunks(fh, column):
         if chunk is None:
             return None
         ids += chunk[0]
         values.append(chunk[1])
-    seen = set(ids) if suite is None else _index_of(ids)
-    if not ids or len(seen) != len(ids):
+    if not ids or len(set(ids)) != len(ids):
         return None
-    ids = SampleIds(ids)
-    if suite is not None:
-        suite.ids, suite.rows = ids, seen
-    return ids, np.concatenate(values)
+    return SampleIds(ids), np.concatenate(values)
 
 
-def _place(chunks, suite: _SuiteIndex, dtype):
-    """The suite's ids and the values of ``chunks``, ``(ids, values)``
-    pairs, placed at the suite's rows of their ids; None after a None chunk,
-    or unless the chunks hold each of the suite's ids exactly once."""
-    n = len(suite.ids)
+def _place(chunks, ids: SampleIds, rows: dict[str, int], dtype):
+    """``ids`` and the values of ``chunks``, ``(ids, values)`` pairs, placed
+    at the rows that ``rows``, the index over ``ids``, gives their ids; None
+    after a None chunk, or unless the chunks hold each of ``ids`` once."""
+    n = len(ids)
     values, hit, count = np.empty(n, dtype=dtype), np.zeros(n, dtype=bool), 0
     for chunk in chunks:
         if chunk is None:
             return None
-        ids, part = chunk
-        rows = _rows_in(suite.rows, ids)
-        if (rows < 0).any():
+        where = _rows_in(rows, chunk[0])
+        if (where < 0).any():
             return None  # an id the suite's first file lacks
-        values[rows] = part
-        hit[rows] = True
-        count += rows.size
+        values[where] = chunk[1]
+        hit[where] = True
+        count += where.size
     if count != n or not hit.all():
         return None  # an id missing or repeated
-    return suite.ids, values
+    return ids, values
 
 
 def _plain_chunks(fh, column: str):
@@ -377,7 +352,7 @@ def load_matrix(paths, names=None) -> PredictionMatrix:
     return _load_suite(paths, names)
 
 
-def load_suite(paths, labels, names=None) -> tuple[PredictionMatrix, LabelVector]:
+def load_suite(paths, labels) -> tuple[PredictionMatrix, LabelVector]:
     """:func:`load_matrix` of ``paths``, then the label file ``labels``
     placed into the same id index.
 
@@ -387,7 +362,7 @@ def load_suite(paths, labels, names=None) -> tuple[PredictionMatrix, LabelVector
     ``restrict`` fails on it just where it would on that.  The label file is
     read only once the matrix is joined.
     """
-    return _load_suite(paths, names, labels)
+    return _load_suite(paths, None, labels)
 
 
 def _load_suite(paths, names, labels=None):
@@ -399,11 +374,14 @@ def _load_suite(paths, names, labels=None):
     names = [str(n) for n in names]
     if len(names) != len(paths):
         raise ValidationError(f"{len(paths)} files but {len(names)} model names")
+    first = _of_checked(ProbSeries, *_read_csv(paths[0], "prob"))
     # One file and no labels: nothing is placed, so nothing is indexed.
-    suite = _SuiteIndex() if len(paths) > 1 or labels is not None else None
-    matrix = PredictionMatrix.from_columns(
-        (name, _of_checked(ProbSeries, *_read_csv(path, "prob", suite)))
-        for name, path in zip(names, paths))
+    suite = ((first.ids, _index_of(first.ids))
+             if len(paths) > 1 or labels is not None else None)
+    later = (_of_checked(ProbSeries, *_read_csv(path, "prob", suite))
+             for path in paths[1:])
+    matrix = PredictionMatrix.from_columns(zip(names, chain([first], later)))
+    del first  # its values are not held while the labels are read
     if labels is None:
         return matrix
     return matrix, _of_checked(LabelVector, *_read_csv(labels, "label", suite))

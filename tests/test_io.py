@@ -353,7 +353,7 @@ class TestLoadMatrix:
     def test_later_files_and_labels_hold_no_ids_of_their_own(self, tmp_path):
         """K = 4 shuffled 20k-row files and a shuffled label file, loaded
         as one suite: only the first file's ids, and one index over them,
-        are ever held.  The bounds sit between this (3.6 MB peak, 2.0 MB
+        are ever held.  The bounds sit between this (4.0 MB peak, 2.0 MB
         live) and reading every file with ids of its own, then aligning it
         (6.0 MB peak, 3.3 MB live)."""
         labels, matrix = generate(SyntheticSpec(
@@ -461,7 +461,7 @@ def _bits(values):
 
 class TestLoadSuite:
     @staticmethod
-    def reference(paths, labels, names):
+    def reference(paths, names, labels):
         """Each file read on its own: the matrix joined by ``from_columns``,
         then the label file with its own ids."""
         matrix = PredictionMatrix.from_columns(
@@ -470,8 +470,8 @@ class TestLoadSuite:
 
     @staticmethod
     def agree(root, files, piped, chunk=io_files._CHUNK_BYTES):
-        """``load_suite`` on prediction files and a last label file, given as
-        bytes, has the reference's outcome: the same ids and value bits, or
+        """The suite loader on prediction files and a last label file, given
+        as bytes, has the reference's outcome: the same ids and value bits, or
         the same exception type and message."""
         k, names, fds = len(files) - 1, [f"m{j}" for j in range(len(files) - 1)], []
 
@@ -488,7 +488,7 @@ class TestLoadSuite:
                 else:
                     (root / f"f{j}.csv").write_bytes(raw)
                     paths.append(str(root / f"f{j}.csv"))
-            got = _outcome(lambda: loader(paths[:k], paths[k], names))
+            got = _outcome(lambda: loader(paths[:k], names, paths[k]))
             if isinstance(got[0], type):
                 for j, path in enumerate(paths):
                     got = got[0], got[1].replace(f"{path}:", f"f{j}.csv:")
@@ -496,7 +496,7 @@ class TestLoadSuite:
 
         try:
             with mock.patch.object(io_files, "_CHUNK_BYTES", chunk):
-                got = load(io_files.load_suite)
+                got = load(io_files._load_suite)
             want = load(TestLoadSuite.reference)
         finally:
             for r in fds:
