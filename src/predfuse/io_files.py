@@ -122,6 +122,7 @@ def _read_csv(path, column: str, suite=None) -> tuple[SampleIds, np.ndarray]:
             src.seek(0)
             ids, values = _scan_rows(src, path, column)
             parsed = SampleIds(ids), np.asarray(values, dtype=dtype)
+    # Only a file as long as the suite's first can hold exactly its ids.
     if suite is not None and len(parsed[0]) == len(suite[0]):
         return _place([parsed], *suite, dtype) or parsed
     return parsed
@@ -158,12 +159,16 @@ def _place(chunks, ids: SampleIds, rows: dict[str, int], dtype):
     for chunk in chunks:
         if chunk is None:
             return None
-        where = _rows_in(rows, chunk[0])
-        if (where < 0).any():
-            return None  # an id the suite's first file lacks
+        k = len(chunk[0])
+        if ids[count:count + k] == tuple(chunk[0]):  # rows in the first file's order
+            where = slice(count, count + k)
+        else:
+            where = _rows_in(rows, chunk[0])
+            if (where < 0).any():
+                return None  # an id the suite's first file lacks
         values[where] = chunk[1]
         hit[where] = True
-        count += where.size
+        count += k
     if count != n or not hit.all():
         return None  # an id missing or repeated
     return ids, values
