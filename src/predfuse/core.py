@@ -102,8 +102,7 @@ def _check_ids(ids) -> SampleIds:
 
 
 def _index_of(ids) -> dict[str, int]:
-    """``{id: row}`` over ``ids``; it holds fewer entries than ``ids`` when
-    an id repeats, so it also checks them unique."""
+    """``{id: row}`` over ``ids``, which are unique."""
     return dict(zip(ids, range(len(ids))))
 
 
