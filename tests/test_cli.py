@@ -585,10 +585,14 @@ class TestLabelIdsDifferFromPreds:
                 "sweep-theta": ["sweep-theta", "--preds", *preds,
                                 "--labels", labels, *flags],
                 "check-bound": ["check-bound", "--weights", str(weights),
-                                "--preds", *preds, "--labels", labels]}[command]
+                                "--preds", *preds, "--labels", labels],
+                "eval": ["eval", "--preds", *preds, "--labels", labels],
+                "eval-combined": ["eval", "--combined", preds[0],
+                                  "--labels", labels]}[command]
 
     @pytest.mark.parametrize("edit", _EDITS)
-    @pytest.mark.parametrize("command", ["train-nn", "sweep-theta", "check-bound"])
+    @pytest.mark.parametrize("command", ["train-nn", "sweep-theta", "check-bound",
+                                         "eval", "eval-combined"])
     def test_one_suite_commands(self, suite, tmp_path, capsys, command, edit):
         weights, out = tmp_path / "w.json", tmp_path / "out"
         assert main(_train_nn_args(suite, weights)) == 0
