@@ -16,7 +16,7 @@ import sys
 
 from . import io_files
 from .combiner import TrainConfig, predict, train
-from .core import LabelVector, accuracy, check_threshold
+from .core import accuracy, check_threshold
 from .errors import ConstraintError, ValidationError
 from .evaluate import (HybridMethod, NNMethod, RuleMethod, RunPlan,
                        cross_validate, report_render)
@@ -192,15 +192,11 @@ def _cmd_combine(args) -> None:
 
 def _cmd_eval(args) -> None:
     t = check_threshold(args.threshold)
-    labels = io_files.load_label_file(args.labels)
-    if args.combined:
-        matrix = io_files.load_matrix([args.combined], names=["combined"])
-    else:
-        matrix = io_files.load_matrix(args.preds)
-    labels = LabelVector(matrix.ids, labels.align_to(matrix.ids))  # not per column
+    matrix, labels = io_files.load_suite(args.preds or [args.combined], args.labels)
+    names = ["combined"] if args.combined else matrix.model_names
     lines = ["name\taccuracy\tpercent"]
-    for name in matrix.model_names:
-        acc = accuracy(matrix.column(name), labels, t)
+    for name, column in zip(names, matrix.model_names):
+        acc = accuracy(matrix.column(column), labels, t)
         lines.append(f"{name}\t{acc!r}\t{acc * 100.0:.2f}")
     _emit("\n".join(lines) + "\n", args.out)
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (_SIGMOID_NOT_FINITE, LabelVector, PredictionMatrix,
-                   ProbSeries, SampleIds, _of_checked, _sigmoid,
-                   _SigmoidBuffers, check_seed, check_threshold, sigmoid)
+                   ProbSeries, _of_checked, _sigmoid, _SigmoidBuffers,
+                   check_seed, check_threshold, sigmoid)
 from .errors import ConstraintError, ValidationError
 from .optim import Adam
 
@@ -148,10 +148,9 @@ def _forward_rows(weights: CombinerWeights, x: np.ndarray) -> np.ndarray:
 def _training_arrays(matrix: PredictionMatrix, labels: LabelVector
                      ) -> tuple[np.ndarray, np.ndarray]:
     # Canonical id ordering: shuffles then depend only on the seed, not on
-    # the row order callers happened to use; permuted, checked ids stay so.
-    order = sorted(range(len(matrix.ids)), key=lambda i: matrix.ids[i])
-    ids = SampleIds(matrix.ids[i] for i in order)
-    return matrix.values[np.asarray(order)], labels.align_to(ids)
+    # the row order callers happened to use.
+    order = np.asarray(sorted(range(len(matrix.ids)), key=lambda i: matrix.ids[i]))
+    return matrix.values[order], labels.align_to(matrix.ids)[order]
 
 
 def _bce(yhat: np.ndarray, u: np.ndarray) -> float:

@@ -12,13 +12,13 @@ declines is read again by the ``csv`` row scanner, which decides it, so
 every error, with its ``file:line``, is the scanner's.  Either way the ids
 and values come back checked, and the loaders check neither again.
 
-A suite (``load_matrix``, ``load_suite``) has one id index: a ``{id: row}``
-dict over its first prediction file's ids, built once that file is read.
-Each later prediction file, and the label file, is placed into it chunk by
-chunk as it is read, so it holds no ids, set or dict of its own.
-A file the placing pass declines (not plain, or not exactly the first
-file's ids) is read again as a file of its own, and the join or the
-caller's alignment decides it just as for a file read alone.
+A suite (``load_matrix``, ``load_suite``), named by its files' stems, has
+one id index: a ``{id: row}`` dict over its first prediction file's ids,
+built once that file is read.  Each later prediction file, and the label
+file, is placed into it chunk by chunk as it is read, so it holds no ids,
+set or dict of its own.  A file the placing pass declines (not plain, or
+not exactly the first file's ids) is read again as a file of its own, and
+the join or the caller's alignment decides it as for a file read alone.
 """
 
 from __future__ import annotations
@@ -344,48 +344,45 @@ def save_label_file(path, labels: LabelVector) -> None:
     _atomic_write([_label_csv(path, labels)])
 
 
-def load_matrix(paths, names=None) -> PredictionMatrix:
+def load_matrix(paths) -> PredictionMatrix:
     """Join prediction files on their sample ids into one matrix.
 
     The join is strict: every file must carry exactly the same id set (in
-    any order).  Model names default to the file stems.  The first file's
+    any order).  Model names are the file stems.  The first file's
     ids are indexed once; each later file is placed into that index as it
     is read, so it holds no ids of its own (:func:`_read_csv`).  Every file
     is still read, and a file that fails to parse wins over a join error in
     an earlier one.
     """
-    return _load_suite(paths, names)
+    return _load_suite(paths)
 
 
 def load_suite(paths, labels) -> tuple[PredictionMatrix, LabelVector]:
     """:func:`load_matrix` of ``paths``, then the label file ``labels``
-    placed into the same id index.
+    placed into the same id index: how every command that reads labels,
+    ``eval`` too, pairs them with prediction rows.
 
     Labels that hold exactly the matrix's ids come back keyed by the
     matrix's own ``ids`` tuple.  Any other label file comes back as
     :func:`load_label_file` reads it, so the caller's ``align_to`` or
     ``restrict`` fails on it just where it would on that.  The label file is
-    read only once the matrix is joined.
+    read last, so a prediction file's error wins over the label file's.
     """
-    return _load_suite(paths, None, labels)
+    return _load_suite(paths, labels)
 
 
-def _load_suite(paths, names, labels=None):
+def _load_suite(paths, labels=None):
     paths = [Path(p) for p in paths]
     if not paths:
         raise ValidationError("no prediction files given")
-    if names is None:
-        names = [p.stem for p in paths]
-    names = [str(n) for n in names]
-    if len(names) != len(paths):
-        raise ValidationError(f"{len(paths)} files but {len(names)} model names")
     first = _of_checked(ProbSeries, *_read_csv(paths[0], "prob"))
     # One file and no labels: nothing is placed, so nothing is indexed.
     suite = ((first.ids, _index_of(first.ids))
              if len(paths) > 1 or labels is not None else None)
     later = (_of_checked(ProbSeries, *_read_csv(path, "prob", suite))
              for path in paths[1:])
-    matrix = PredictionMatrix.from_columns(zip(names, chain([first], later)))
+    matrix = PredictionMatrix.from_columns(
+        zip([p.stem for p in paths], chain([first], later)))
     del first  # its values are not held while the labels are read
     if labels is None:
         return matrix

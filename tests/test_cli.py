@@ -3,17 +3,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import predfuse
-from predfuse import LabelVector, core, evaluate, io_files
+from predfuse import LabelVector, ProbSeries, core, evaluate, io_files
 from predfuse.cli import _grid, main
 from predfuse.combiner import TrainConfig
 from predfuse.evaluate import parse_report
 from predfuse.hybrid import default_theta_grid
 from predfuse.io_files import load_prediction_file
+from predfuse.synth import SyntheticSpec, generate
 
 
 @pytest.fixture
@@ -143,7 +146,33 @@ class TestTrainAndCombine:
             lookups.append(missing) or rows_of(ids, wanted, missing)))
         assert main([*argv, str(shuffled)]) == 0
         assert capsys.readouterr().out == want
-        assert lookups == ["labels are missing sample id"]
+        assert lookups == []  # placed into the suite's id index as read
+
+    def test_eval_holds_one_copy_of_the_ids(self, tmp_path, capsys):
+        """``eval --preds`` on K = 4 shuffled 20k-row files and a shuffled
+        label file reads them as one suite.  The bound sits between this
+        (4.1 MB peak) and reading the labels first with ids of their own,
+        then aligning them to the matrix (5.5 MB peak)."""
+        labels, matrix = generate(SyntheticSpec(
+            k=4, target_acc=(0.8, 0.82, 0.85, 0.9), n=20_000, seed=3))
+        rng = np.random.default_rng(7)
+        paths = [str(tmp_path / f"{name}.csv") for name in matrix.model_names]
+        for j, path in enumerate(paths):
+            rows = rng.permutation(matrix.n_samples)
+            io_files.save_prediction_file(path, ProbSeries(
+                [matrix.ids[i] for i in rows], matrix.values[rows, j]))
+        io_files.save_label_file(tmp_path / "labels.csv", labels.restrict(
+            [labels.ids[i] for i in rng.permutation(len(labels))]))
+        del labels, matrix
+        tracemalloc.start()
+        try:
+            code = main(["eval", "--preds", *paths,
+                         "--labels", str(tmp_path / "labels.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().out.count("\n") == 5
+        assert peak < 5.0e6, peak
 
 
 class TestExitCodes:
@@ -672,3 +701,38 @@ class TestLabelIdsDifferFromPreds:
             message = "unknown model 'M9'; have ['M1', 'M2', 'M3']"
         assert code == 2 and not out.exists()
         assert capsys.readouterr() == ("", f"predfuse: invalid input: {message}\n")
+
+    @pytest.mark.parametrize("command", ["train-nn", "sweep-theta", "check-bound",
+                                         "eval"])
+    def test_first_missing_id_in_row_order(self, tmp_path, capsys, command):
+        """Labels lacking two ids name the first one the predictions list,
+        whichever command pairs them."""
+        preds = [str(tmp_path / f"M{j}.csv") for j in (1, 2, 3)]
+        for path in preds:
+            Path(path).write_text("id,prob\nc,0.2\na,0.9\nb,0.4\nd,0.7\n")
+        full, short = tmp_path / "full.csv", tmp_path / "short.csv"
+        full.write_text("id,label\na,1\nb,0\nc,0\nd,1\n")
+        short.write_text("id,label\nb,0\nd,1\n")
+        weights = tmp_path / "w.json"
+        assert main(_train_nn_args({"train_preds": preds, "train_labels": str(full)},
+                                   weights)) == 0
+        argv = self.argv(command, {"train_preds": preds}, str(short), weights,
+                         "--base", "M3", "--aux", "M1", "M2")
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == (
+            "", "predfuse: invalid input: labels are missing sample id 'c'\n")
+
+    @pytest.mark.parametrize("command", ["train-nn", "eval", "eval-combined"])
+    def test_prediction_file_error_wins_over_label_file_error(
+            self, tmp_path, capsys, command):
+        """A command reads its prediction files before its label file, so
+        when both are bad the prediction file's error is reported."""
+        preds = [str(tmp_path / f"M{j}.csv") for j in (1, 2)]
+        Path(preds[0]).write_text("id,prob\na,0.2\nb,1.5\n")
+        Path(preds[1]).write_text("id,prob\na,0.3\nb,0.6\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\na,2\nb,0\n")
+        argv = self.argv(command, {"train_preds": preds}, str(labels), None)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == (
+            "", f"predfuse: invalid input: {preds[0]}:3: probability 1.5 outside [0, 1]\n")

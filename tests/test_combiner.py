@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from predfuse import (CombinerWeights, ConstraintError, TrainConfig,
+from predfuse import (AlignmentError, CombinerWeights, ConstraintError,
+                      LabelVector, PredictionMatrix, TrainConfig,
                       ValidationError, accuracy, derive_seed, forward,
                       gradient, kfold_split, loss, predict, raw_score, train,
                       train_runs)
@@ -194,6 +195,15 @@ class TestGradient:
         assert (w_opt > 0.01).all()  # interior, not pinned at the constraint
         g = gradient(weights_of(w_opt, res.x[k]), m, labels, l2)
         assert np.linalg.norm(g) < 1e-5
+
+
+@pytest.mark.parametrize("fit", [loss, gradient, lambda w, m, u: train(m, u)])
+def test_labels_lacking_ids_name_the_first_in_row_order(fit):
+    """The first missing id the matrix lists, not the first in sorted order."""
+    m = PredictionMatrix(("c", "a", "b", "d"), ("M1",), [[0.2], [0.9], [0.4], [0.7]])
+    labels = LabelVector(("b", "d"), [0, 1])
+    with pytest.raises(AlignmentError, match="^labels are missing sample id 'c'$"):
+        fit(weights_of([1.0]), m, labels)
 
 
 class TestTrain:

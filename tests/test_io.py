@@ -5,6 +5,7 @@ import os
 import stat
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -377,11 +378,6 @@ class TestLoadMatrix:
         assert u.ids is m.ids
         assert peak < 5.0e6 and live < 2.7e6, (peak, live)
 
-    def test_explicit_names(self, tmp_path):
-        write(tmp_path / "m1.csv", "id,prob\na,0.1\n")
-        m = load_matrix([tmp_path / "m1.csv"], names=["primary"])
-        assert m.model_names == ("primary",)
-
     def test_no_files_rejected(self):
         with pytest.raises(ValidationError):
             load_matrix([])
@@ -461,11 +457,11 @@ def _bits(values):
 
 class TestLoadSuite:
     @staticmethod
-    def reference(paths, names, labels):
+    def reference(paths, labels):
         """Each file read on its own: the matrix joined by ``from_columns``,
         then the label file with its own ids."""
         matrix = PredictionMatrix.from_columns(
-            (name, load_prediction_file(path)) for name, path in zip(names, paths))
+            (Path(path).stem, load_prediction_file(path)) for path in paths)
         return matrix, load_label_file(labels)
 
     @staticmethod
@@ -473,26 +469,23 @@ class TestLoadSuite:
         """The suite loader on prediction files and a last label file, given
         as bytes, has the reference's outcome: the same ids and value bits, or
         the same exception type and message."""
-        k, names, fds = len(files) - 1, [f"m{j}" for j in range(len(files) - 1)], []
+        paths, fds = [root / f"f{j}.csv" for j in range(len(files))], []
 
         def load(loader):
-            """``loader``'s outcome, a pipe named in an error as its file."""
-            paths = []
-            for j, (raw, pipe) in enumerate(zip(files, piped)):
-                if pipe:  # one pipe per load: a pipe is read once
+            """``loader``'s outcome.  A pipe is read once, so each load gets
+            new ones, each behind a link with its file's name: model names
+            and error texts are the same in both loads."""
+            for path, raw, pipe in zip(paths, files, piped):
+                path.unlink(missing_ok=True)
+                if pipe:
                     r, w = os.pipe()
                     os.write(w, raw)
                     os.close(w)
                     fds.append(r)
-                    paths.append(f"/dev/fd/{r}")
+                    path.symlink_to(f"/dev/fd/{r}")
                 else:
-                    (root / f"f{j}.csv").write_bytes(raw)
-                    paths.append(str(root / f"f{j}.csv"))
-            got = _outcome(lambda: loader(paths[:k], names, paths[k]))
-            if isinstance(got[0], type):
-                for j, path in enumerate(paths):
-                    got = got[0], got[1].replace(f"{path}:", f"f{j}.csv:")
-            return got
+                    path.write_bytes(raw)
+            return _outcome(lambda: loader(paths[:-1], paths[-1]))
 
         try:
             with mock.patch.object(io_files, "_CHUNK_BYTES", chunk):
