@@ -21,7 +21,7 @@ from .errors import ConstraintError, ValidationError
 from .evaluate import (HybridMethod, NNMethod, RuleMethod, RunPlan,
                        cross_validate, report_render)
 from .hybrid import HybridConfig, hybrid_predict, theta_sweep
-from .rules import RULE_KINDS, apply_rule
+from .rules import RULE_KINDS, apply_rule, check_panel
 from .bounds import weight_sum_bounds
 from .synth import SyntheticSpec, generate
 
@@ -180,6 +180,7 @@ def _cmd_combine(args) -> None:
         raise ValidationError("--method nn needs --weights")
     if args.method == "hybrid":
         cfg = HybridConfig(*_hybrid_models(args), args.rule, args.theta)
+    check_panel(args.method, len(args.preds))
     matrix = io_files.load_matrix(args.preds)
     if args.method == "nn":
         series = predict(io_files.load_weights(args.weights).weights, matrix)

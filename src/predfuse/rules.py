@@ -79,14 +79,19 @@ def check_rule_kind(rule: str) -> str:
     return rule
 
 
+def check_panel(rule: str, k: int) -> None:
+    """Refuse an even panel of ``k`` models for majority vote: it could tie."""
+    if rule == "maj" and k % 2 == 0:
+        raise ConstraintError(f"majority vote needs an odd number of models, got {k}")
+
+
 def rule_scores(rule: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (scores, labels) for an (N, K) block of probabilities."""
     check_rule_kind(rule)
     if values.ndim != 2 or values.shape[1] == 0:
         raise ValidationError("rule input must be a non-empty (N, K) block")
     k = values.shape[1]
-    if rule == "maj" and k % 2 == 0:
-        raise ConstraintError(f"majority vote needs an odd number of models, got {k}")
+    check_panel(rule, k)
     if rule in ("sum", "avg"):
         scores = values.mean(axis=1)
         labels = (scores >= 0.5).astype(np.int64)

@@ -301,6 +301,9 @@ class TestFlagsBeforeFiles:
                      3, "theta", id="combine-hybrid-theta"),
         pytest.param(["combine", "--method", "nn", "--preds", "P"],
                      2, "--weights", id="combine-nn-no-weights"),
+        pytest.param(["combine", "--method", "maj", "--preds", "P", "P"],
+                     3, "majority vote needs an odd number of models, got 2",
+                     id="combine-maj-even"),
         pytest.param(["eval", "--threshold", "0", "--labels", "L", "--combined", "P"],
                      2, "threshold", id="eval-threshold"),
         pytest.param(["sweep-theta", "--base", "M1", "--aux", "M1", "M2",
