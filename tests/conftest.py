@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from predfuse import LabelVector, PredictionMatrix
+from predfuse import LabelVector, PredictionMatrix, ProbSeries
+from predfuse.io_files import save_label_file, save_prediction_file
+from predfuse.synth import SyntheticSpec, generate
 
 # HYPOTHESIS_PROFILE=ci, set by the CI tier-1 step, gives each property test
 # that sets no example count of its own, such as the reader's differential
@@ -42,3 +44,20 @@ def make_labels(values, ids=None) -> LabelVector:
     values = np.asarray(values)
     ids = tuple(f"s{i}" for i in range(len(values))) if ids is None else tuple(ids)
     return LabelVector(ids, values)
+
+
+def write_shuffled_suite(root) -> list[str]:
+    """A K = 4, 20k-row synthetic suite written to ``root``, each prediction
+    file and ``labels.csv`` in a row order of its own; the prediction files'
+    paths."""
+    labels, matrix = generate(SyntheticSpec(
+        k=4, target_acc=(0.8, 0.82, 0.85, 0.9), n=20_000, seed=3))
+    rng = np.random.default_rng(7)
+    paths = [str(root / f"{name}.csv") for name in matrix.model_names]
+    for j, path in enumerate(paths):
+        rows = rng.permutation(matrix.n_samples)
+        save_prediction_file(path, ProbSeries(
+            [matrix.ids[i] for i in rows], matrix.values[rows, j]))
+    save_label_file(root / "labels.csv", labels.restrict(
+        [labels.ids[i] for i in rng.permutation(len(labels))]))
+    return paths

@@ -6,17 +6,17 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import predfuse
-from predfuse import LabelVector, ProbSeries, core, evaluate, io_files
+from predfuse import LabelVector, core, evaluate, io_files
 from predfuse.cli import _grid, main
 from predfuse.combiner import TrainConfig
 from predfuse.evaluate import parse_report
 from predfuse.hybrid import default_theta_grid
 from predfuse.io_files import load_prediction_file
-from predfuse.synth import SyntheticSpec, generate
+
+from conftest import write_shuffled_suite
 
 
 @pytest.fixture
@@ -153,17 +153,7 @@ class TestTrainAndCombine:
         label file reads them as one suite.  The bound sits between this
         (4.1 MB peak) and reading the labels first with ids of their own,
         then aligning them to the matrix (5.5 MB peak)."""
-        labels, matrix = generate(SyntheticSpec(
-            k=4, target_acc=(0.8, 0.82, 0.85, 0.9), n=20_000, seed=3))
-        rng = np.random.default_rng(7)
-        paths = [str(tmp_path / f"{name}.csv") for name in matrix.model_names]
-        for j, path in enumerate(paths):
-            rows = rng.permutation(matrix.n_samples)
-            io_files.save_prediction_file(path, ProbSeries(
-                [matrix.ids[i] for i in rows], matrix.values[rows, j]))
-        io_files.save_label_file(tmp_path / "labels.csv", labels.restrict(
-            [labels.ids[i] for i in rng.permutation(len(labels))]))
-        del labels, matrix
+        paths = write_shuffled_suite(tmp_path)
         tracemalloc.start()
         try:
             code = main(["eval", "--preds", *paths,

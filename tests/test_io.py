@@ -25,6 +25,8 @@ from predfuse.io_files import (atomic_write_text, load_label_file, load_matrix,
                                save_report, save_weights)
 from predfuse.synth import SyntheticSpec, generate
 
+from conftest import write_shuffled_suite
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -357,18 +359,7 @@ class TestLoadMatrix:
         are ever held.  The bounds sit between this (4.0 MB peak, 2.0 MB
         live) and reading every file with ids of its own, then aligning it
         (6.0 MB peak, 3.3 MB live)."""
-        labels, matrix = generate(SyntheticSpec(
-            k=4, target_acc=(0.8, 0.82, 0.85, 0.9), n=20_000, seed=3))
-        rng = np.random.default_rng(7)
-        paths = [tmp_path / f"{name}.csv" for name in matrix.model_names]
-        for j, path in enumerate(paths):
-            rows = rng.permutation(matrix.n_samples)
-            save_prediction_file(path, ProbSeries(
-                [matrix.ids[i] for i in rows], matrix.values[rows, j]))
-        save_label_file(tmp_path / "labels.csv",
-                        labels.restrict([labels.ids[i] for i in
-                                         rng.permutation(len(labels))]))
-        del labels, matrix
+        paths = write_shuffled_suite(tmp_path)
         tracemalloc.start()
         try:
             m, u = io_files.load_suite(paths, tmp_path / "labels.csv")
