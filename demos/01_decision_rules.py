@@ -31,5 +31,5 @@ for rule in ("sum", "avg", "max", "maj"):
 # restricted to two models, sum/avg/max give identical decisions
 print("\ntwo-model subset (M1, M3):")
 for rule in ("sum", "avg", "max"):
-    scores, _ = apply_rule(rule, matrix, ["M1", "M3"])
+    scores, _ = apply_rule(rule, matrix.select(["M1", "M3"]))
     print(f"  {rule}: {accuracy(scores, labels):.4f}")

@@ -19,7 +19,7 @@ from .combiner import TrainConfig, predict, train
 from .core import accuracy, check_threshold
 from .errors import ConstraintError, ValidationError
 from .evaluate import (HybridMethod, NNMethod, RuleMethod, RunPlan,
-                       cross_validate, report_render)
+                       _check_shared_models, cross_validate, report_render)
 from .hybrid import HybridConfig, hybrid_predict, theta_sweep
 from .rules import RULE_KINDS, apply_rule, check_panel
 from .bounds import weight_sum_bounds
@@ -232,6 +232,10 @@ def _cmd_cv(args) -> None:
         method = RuleMethod(args.method)
     plan = RunPlan(n_folds=args.folds, repeats_per_fold=args.repeats,
                    seed=args.seed)
+    # model names come from the paths, so both checks precede every read
+    _check_shared_models(io_files.model_names(args.train_preds),
+                         io_files.model_names(args.test_preds))
+    check_panel(args.method, len(args.train_preds))
     train_m, train_u = io_files.load_suite(args.train_preds, args.train_labels)
     test_m, test_u = io_files.load_suite(args.test_preds, args.test_labels)
     report = cross_validate(plan, train_m, train_u, test_m, test_u, method)

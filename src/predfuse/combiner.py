@@ -231,8 +231,7 @@ def _fold_arrays(matrix: PredictionMatrix, labels: LabelVector
 
 
 def train(matrix: PredictionMatrix, labels: LabelVector,
-          cfg: TrainConfig = TrainConfig(), t: float = 0.5,
-          callback=None) -> TrainResult:
+          cfg: TrainConfig = TrainConfig(), t: float = 0.5) -> TrainResult:
     """Fit combination weights by minibatch ADAM with non-negativity projection.
 
     Parameters
@@ -241,15 +240,14 @@ def train(matrix: PredictionMatrix, labels: LabelVector,
     cfg : optimizer hyperparameters; the run is bit-deterministic given
         identical inputs and ``cfg.seed``.
     t : decision threshold stored on the result.
-    callback : optional ``f(step, w, b)`` invoked after every projected
-        update; used by the test suite to watch intermediate weights.
 
     Returns
     -------
     TrainResult with the final weights (all >= 0), whether any update was
-    clipped back to zero, and whether the labels were single-class.
+    clipped back to zero, and whether the labels were single-class.  This is
+    :func:`train_runs` with one fold and one run.
     """
-    return _train([(matrix, labels)], [(0, cfg)], t, callback)[0]
+    return _train([(matrix, labels)], [(0, cfg)], t)[0]
 
 
 def train_runs(folds, runs, t: float = 0.5) -> list[TrainResult]:
@@ -271,9 +269,9 @@ def train_runs(folds, runs, t: float = 0.5) -> list[TrainResult]:
     return _train(folds, runs, t)
 
 
-def _train(folds, runs, t: float, callback=None) -> list[TrainResult]:
-    """The body of :func:`train_runs` and of :func:`train`, whose traced span
-    then holds its own ADAM steps; ``callback`` sees each group's first run."""
+def _train(folds, runs, t: float) -> list[TrainResult]:
+    """The body of :func:`train_runs` and of :func:`train`, so that a span
+    traced around :func:`train` holds its ADAM steps directly."""
     arrays = [_fold_arrays(m, labels) for m, labels in folds]
     names = folds[0][0].model_names if arrays else ()
     if any(m.model_names != names for m, _ in folds):
@@ -290,7 +288,7 @@ def _train(folds, runs, t: float, callback=None) -> list[TrainResult]:
         # The uninformative start: equal weights, shift at the centre of the
         # initial score range, so the initial forward is ~0.5.
         w, b, clipped = _fit(x, u, np.full(len(names), 1.0 / len(names)), 0.5,
-                             cfgs, 0.0, fold=slot, callback=callback)
+                             cfgs, 0.0, fold=slot)
         for j, i in enumerate(members):
             f, cfg = runs[i]
             results[i] = TrainResult(
@@ -300,8 +298,7 @@ def _train(folds, runs, t: float, callback=None) -> list[TrainResult]:
 
 
 def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
-         floor: float, fold=None, callback=None
-         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+         floor: float, fold=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minibatch ADAM on the :func:`loss` objective for R runs in lock step.
 
     ``x`` (F, n, K) and ``u`` (F, n) stack F equally sized folds; run r
@@ -311,8 +308,8 @@ def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
     with its own seed, but all share the step count, so the runs form one
     ``(R, K+1)`` parameter array under one ADAM.  After every step each
     weight below ``floor`` is raised onto it, and a run is flagged clipped
-    if any of its weights was ever below it.  ``callback(step, w, b)`` sees
-    the first run.  Returns w (R, K), b (R,) and the clipped flags (R,).
+    if any of its weights was ever below it.  Returns w (R, K), b (R,) and
+    the clipped flags (R,).
 
     Nothing is allocated per epoch or step.  Each run shuffles its own row
     of positions in place, with the draws of ``rng.permutation(n)``.  Each
@@ -369,6 +366,4 @@ def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
                 opt.step(params, _gradient(columns, shifts, buf.x, ub, cfg.l2, buf))
                 np.fmin(lowest, w, out=lowest)
                 np.maximum(w, floor, out=w)
-                if callback is not None:
-                    callback(opt.t, w[0], float(b[0]))
     return w, b, (lowest < floor).any(axis=1)

@@ -58,25 +58,15 @@ class FoldSplit:
 
     folds: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self):
-        sizes = [len(f) for f in self.folds]
-        if len(self.folds) < 2 or min(sizes) < 1:
-            raise ValidationError("need at least two non-empty folds")
-        if max(sizes) - min(sizes) > 1:
-            raise ValidationError(f"fold sizes {sizes} differ by more than one")
-        all_ids = [i for f in self.folds for i in f]
-        if len(set(all_ids)) != len(all_ids):
-            raise ValidationError("folds overlap")
-
 
 def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
     """Seeded shuffle of the canonically sorted ids, then contiguous cuts.
 
     Plain ids are checked as a constructor checks them (``core._as_ids``);
     ids a matrix or label vector carries are not checked again.  Each fold
-    comes back as checked ids, which ``restrict`` takes as they are.
-    Contiguous cuts of unique ids cannot overlap, so the split skips
-    ``FoldSplit``'s checks.
+    comes back as checked ids, which ``restrict`` takes as they are.  The
+    cuts of unique ids are disjoint, at least two, non-empty, and differ in
+    size by at most one, which is all a ``FoldSplit`` promises.
     """
     ids = sorted(_as_ids(ids))
     if n_folds < 2:
@@ -87,9 +77,7 @@ def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(ids))
     parts = np.array_split(np.asarray(ids, dtype=object)[order], n_folds)
-    split = object.__new__(FoldSplit)  # even cuts of unique ids: a valid split
-    object.__setattr__(split, "folds", tuple(SampleIds(part) for part in parts))
-    return split
+    return FoldSplit(tuple(SampleIds(part) for part in parts))
 
 
 @dataclass(frozen=True)
@@ -111,7 +99,6 @@ class NNMethod:
     """Fit the trained combiner on each fold."""
 
     config: TrainConfig = TrainConfig()
-    threshold: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -175,11 +162,12 @@ def mean_stdev(values) -> tuple[float, float]:
     return m, math.sqrt(var)
 
 
-def _check_shared_models(train_preds: PredictionMatrix, test_preds: PredictionMatrix):
-    if set(train_preds.model_names) != set(test_preds.model_names):
+def _check_shared_models(train_names, test_names) -> None:
+    """Refuse train and test suites whose model name sets differ."""
+    if set(train_names) != set(test_names):
         raise ValidationError(
             "train and test matrices name different models: "
-            f"{sorted(train_preds.model_names)} vs {sorted(test_preds.model_names)}"
+            f"{sorted(train_names)} vs {sorted(test_names)}"
         )
 
 
@@ -192,7 +180,7 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
     combiner a weight-sum bound report, computed on the fold it was trained
     on, is attached to each record.
     """
-    _check_shared_models(train_preds, test_preds)
+    _check_shared_models(train_preds.model_names, test_preds.model_names)
     split = kfold_split(train_preds.ids, plan.n_folds, plan.seed)
     test_u = LabelVector(test_preds.ids, test_labels.align_to(test_preds.ids))
     records = []
@@ -204,7 +192,7 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
                 for r in range(plan.repeats_per_fold)]
         results = train_runs(folds, [
             (f, replace(method.config, seed=derive_seed(plan.seed, f, r)))
-            for f, r in grid], t=method.threshold)
+            for f, r in grid])
         test_m = test_preds.select(train_preds.model_names)
         for (f, r), result in zip(grid, results):
             records.append(_nn_run(f, r, result, *folds[f], test_m, test_u))

@@ -1,4 +1,4 @@
-"""File formats and persistence: prediction/label CSVs, weights JSON, reports.
+"""File formats and persistence: prediction/label CSVs and weights JSON.
 
 All formats are line-delimited UTF-8 text.  Reals round-trip exactly:
 CSV probabilities use Python's shortest round-trip repr, the weights JSON
@@ -41,11 +41,10 @@ from .combiner import CombinerWeights, TrainConfig, TrainResult
 from .core import (LabelVector, PredictionMatrix, ProbSeries, SampleIds,
                    _index_of, _of_checked, _rows_in)
 from .errors import ValidationError
-from .evaluate import EvalReport, parse_report, report_render
 
 __all__ = ["load_prediction_file", "save_prediction_file", "load_label_file",
-           "save_label_file", "load_matrix", "load_suite", "save_matrix_files",
-           "save_weights", "load_weights", "save_report", "load_report",
+           "save_label_file", "model_names", "load_matrix", "load_suite",
+           "save_matrix_files", "save_weights", "load_weights",
            "atomic_write_text"]
 
 
@@ -344,6 +343,11 @@ def save_label_file(path, labels: LabelVector) -> None:
     _atomic_write([_label_csv(path, labels)])
 
 
+def model_names(paths) -> list[str]:
+    """The model names of a suite's prediction files: their stems."""
+    return [Path(p).stem for p in paths]
+
+
 def load_matrix(paths) -> PredictionMatrix:
     """Join prediction files on their sample ids into one matrix.
 
@@ -382,7 +386,7 @@ def _load_suite(paths, labels=None):
     later = (_of_checked(ProbSeries, *_read_csv(path, "prob", suite))
              for path in paths[1:])
     matrix = PredictionMatrix.from_columns(
-        zip([p.stem for p in paths], chain([first], later)))
+        zip(model_names(paths), chain([first], later)))
     del first  # its values are not held while the labels are read
     if labels is None:
         return matrix
@@ -488,12 +492,3 @@ def load_weights(path) -> TrainResult:
         raise ValidationError(f"{path}: {exc}") from None
     return TrainResult(weights=weights, config=cfg, clipped_any=clipped_any,
                        degenerate_labels=False)
-
-
-def save_report(path, report: EvalReport, include_runs: bool = True) -> None:
-    atomic_write_text(path, report_render(report, include_runs=include_runs))
-
-
-def load_report(path) -> EvalReport:
-    with open(path, encoding="utf-8") as fh:
-        return parse_report(fh.read())

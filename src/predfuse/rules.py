@@ -107,13 +107,13 @@ def rule_scores(rule: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scores, labels
 
 
-def apply_rule(rule: str, matrix: PredictionMatrix, subset=None
+def apply_rule(rule: str, matrix: PredictionMatrix
                ) -> tuple[ProbSeries, np.ndarray]:
-    """Apply a rule per sample over selected columns of a prediction matrix.
+    """Apply a rule per sample over every column of a prediction matrix.
 
     Returns the score series (aligned to the matrix ids) and the label
     vector it hardens to.  The scores are probabilities by construction.
+    To combine some of the models, pass ``matrix.select(names)``.
     """
-    sub = matrix if subset is None else matrix.select(subset)
-    scores, labels = rule_scores(rule, sub.values)
-    return _of_checked(ProbSeries, sub.ids, scores), labels
+    scores, labels = rule_scores(rule, matrix.values)
+    return _of_checked(ProbSeries, matrix.ids, scores), labels

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from predfuse import LabelVector, PredictionMatrix, ProbSeries
+from predfuse import LabelVector, PredictionMatrix, ProbSeries, combiner
 from predfuse.io_files import save_label_file, save_prediction_file
+from predfuse.optim import Adam
 from predfuse.synth import SyntheticSpec, generate
 
 # HYPOTHESIS_PROFILE=ci, set by the CI tier-1 step, gives each property test
@@ -30,6 +31,26 @@ with warnings.catch_warnings():
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(20240817))
+
+
+@pytest.fixture
+def step_minima(monkeypatch) -> list[float]:
+    """The lowest weight of every ADAM step the trainer takes in the test.
+
+    The trainer's ``Adam`` is replaced by a subclass whose ``step`` records
+    ``params[:, :-1].min()`` before updating.  Then ``params`` holds the
+    start or the previous step's projected weights, so together with the
+    returned weights every projected state is seen.
+    """
+    seen = []
+
+    class WatchedAdam(Adam):
+        def step(self, params, grad):
+            seen.append(float(params[:, :-1].min()))
+            return super().step(params, grad)
+
+    monkeypatch.setattr(combiner, "Adam", WatchedAdam)
+    return seen
 
 
 def make_matrix(values, ids=None, names=None) -> PredictionMatrix:

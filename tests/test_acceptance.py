@@ -95,11 +95,9 @@ def test_criterion_2_rule_oracle(rng):
            f"({mismatches} mismatches)")
 
 
-def test_criterion_3_nonnegative_weights(combiner_runs, rng):
-    mins = []
+def test_criterion_3_nonnegative_weights(combiner_runs, rng, step_minima):
     train_m, train_u = combiner_runs["runs"][0]["train"]
-    pf.train(train_m, train_u, pf.TrainConfig(epochs=3, seed=0),
-             callback=lambda step, w, b: mins.append(float(w.min())))
+    first = pf.train(train_m, train_u, pf.TrainConfig(epochs=3, seed=0))
     # adversarial anti-correlated column to force clipping
     u = rng.integers(0, 2, size=300)
     vals = np.column_stack([
@@ -108,12 +106,16 @@ def test_criterion_3_nonnegative_weights(combiner_runs, rng):
     adv_m = pf.PredictionMatrix(tuple(map(str, range(300))), ("A", "B"), vals)
     adv_u = pf.LabelVector(tuple(map(str, range(300))), u)
     adv = pf.train(adv_m, adv_u, pf.TrainConfig(learning_rate=0.05, epochs=20,
-                                                seed=1),
-                   callback=lambda step, w, b: mins.append(float(w.min())))
-    finals_ok = all((r["result"].weights.w >= 0).all()
-                    for r in combiner_runs["runs"])
-    ok = min(mins) >= 0.0 and finals_ok and adv.clipped_any
-    report(3, ok, f"weights >= 0 after every step ({len(mins)} steps watched), "
+                                                seed=1))
+    steps = 3 * math.ceil(N_TRAIN / 32) + 20 * math.ceil(300 / 32)
+    # each watched step sees the previous step's projection; the returned
+    # weights are the last one
+    finals = [r["result"] for r in combiner_runs["runs"]] + [first, adv]
+    finals_ok = all((r.weights.w >= 0).all() for r in finals)
+    ok = (len(step_minima) == steps and min(step_minima) >= 0.0 and finals_ok
+          and adv.clipped_any)
+    report(3, ok, f"weights >= 0 after every step ({len(step_minima)} of "
+                  f"{steps} steps watched), "
                   f"clipping recorded: {adv.clipped_any}")
 
 

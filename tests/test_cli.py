@@ -321,6 +321,43 @@ class TestFlagsBeforeFiles:
         assert culprit in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, train, test, files, code, message", [
+        pytest.param("maj", "M1 M2", "M1 M2", "missing", 3, "constraint violation: "
+                     "majority vote needs an odd number of models, got 2",
+                     id="maj-even-missing"),
+        pytest.param("maj", "M1 M2", "M1 M2", "malformed", 3, "constraint violation: "
+                     "majority vote needs an odd number of models, got 2",
+                     id="maj-even-malformed"),
+        pytest.param("maj", "M1 M2", "M1 M3", "missing", 2, "invalid input: train and "
+                     "test matrices name different models: ['M1', 'M2'] vs ['M1', 'M3']",
+                     id="maj-even-and-names"),
+        pytest.param("nn", "M1 M2", "M2 M3", "missing", 2, "invalid input: train and "
+                     "test matrices name different models: ['M1', 'M2'] vs ['M2', 'M3']",
+                     id="nn-names-missing"),
+        pytest.param("nn", "M1 M2", "M2 M3", "malformed", 2, "invalid input: train and "
+                     "test matrices name different models: ['M1', 'M2'] vs ['M2', 'M3']",
+                     id="nn-names-malformed"),
+        pytest.param("maj", "M1 M2 M3", "M3 M2 M1", "missing", 4, "i/o error: [Errno 2] "
+                     "No such file or directory: '{tmp}/train/M1.csv'", id="maj-odd"),
+    ])
+    def test_cv_models_checked_before_files(self, tmp_path, capsys, method,
+                                            train, test, files, code, message):
+        """Model names are the file stems, so cv compares the two suites'
+        names, then checks a majority panel, before it reads any file."""
+        argv = ["cv", "--method", method]
+        for side, stems in (("train", train), ("test", test)):
+            (tmp_path / side).mkdir()
+            paths = [tmp_path / side / f"{s}.csv" for s in [*stems.split(), "labels"]]
+            if files == "malformed":
+                for path in paths:
+                    path.write_text("not,a\nprediction,file\n")
+            argv += [f"--{side}-preds", *map(str, paths[:-1]),
+                     f"--{side}-labels", str(paths[-1])]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == code
+        assert capsys.readouterr().err == f"predfuse: {message.format(tmp=tmp_path)}\n"
+        assert not out.exists()
+
 
 class TestSweepTheta:
     def test_default_grid_has_49_rows(self, suite, tmp_path):

@@ -14,15 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predfuse import (AlignmentError, CombinerWeights, ConstraintError, LabelVector,
-                      PredictionMatrix, ProbSeries, TrainConfig, ValidationError, cross_validate,
-                      NNMethod, RunPlan)
+                      PredictionMatrix, ProbSeries, TrainConfig, ValidationError)
 from predfuse import io_files
 from predfuse.combiner import TrainResult
 from predfuse.io_files import (atomic_write_text, load_label_file, load_matrix,
-                               load_prediction_file, load_report,
-                               load_weights, save_label_file,
-                               save_matrix_files, save_prediction_file,
-                               save_report, save_weights)
+                               load_prediction_file, load_weights,
+                               save_label_file, save_matrix_files,
+                               save_prediction_file, save_weights)
 from predfuse.synth import SyntheticSpec, generate
 
 from conftest import write_shuffled_suite
@@ -665,19 +663,6 @@ class TestWeightsJson:
         path.write_bytes(b'{"model_names": ["\xff"]}')
         with pytest.raises(ValidationError, match=r"w\.json: not valid UTF-8"):
             load_weights(path)
-
-
-class TestReports:
-    def test_save_load_round_trip(self, tmp_path):
-        spec = dict(k=2, target_acc=(0.8, 0.9), rho=0.2)
-        train_u, train_m = generate(SyntheticSpec(n=60, seed=0, **spec))
-        test_u, test_m = generate(SyntheticSpec(n=100, seed=9, **spec))
-        report = cross_validate(RunPlan(2, 2, 0), train_m, train_u, test_m,
-                                test_u, NNMethod(TrainConfig(epochs=2)))
-        path = tmp_path / "report.tsv"
-        save_report(path, report)
-        back = load_report(path)
-        assert back.mean == report.mean and back.stdev == report.stdev
 
 
 class TestAtomicWrites:
