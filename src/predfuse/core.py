@@ -251,43 +251,51 @@ class PredictionMatrix:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_columns(
-            cls, columns: Iterable[tuple[str, ProbSeries]]) -> "PredictionMatrix":
-        """Join named series on their common id set (order of the first column).
+    def from_columns(cls, names,
+                     series: Iterable[ProbSeries]) -> "PredictionMatrix":
+        """Join named series on their common id set (order of the first one).
 
-        Every series must carry exactly the first one's ids, in any order,
-        and an AlignmentError names the model and an id that one side lacks.
-        A series whose ids equal the first one's, in order, is taken as it
-        is: the suite loader (``io_files.load_matrix``) places each later
-        file into an index over the first file's ids as it reads it, so
-        only a file it declines reaches this join with ids of its own.
+        ``names`` holds one model name per series.  Every series must carry
+        exactly the first one's ids, in any order, and an AlignmentError
+        names the model and an id that one side lacks.  A series whose ids
+        equal the first one's, in order, is taken as it is: the suite loader
+        (``io_files.load_matrix``) places each later file into an index over
+        the first file's ids as it reads it, so only a file it declines
+        reaches this join with ids of its own.
 
-        ``columns``, ``(name, ProbSeries)`` pairs, is read once, keeping only
-        the first series' ids and the aligned values.  A join error is
-        raised once the rest is read, so an error the iterable raises wins.
-        Only ``ProbSeries`` are taken, as their values are already checked
-        probabilities; the names are checked.
+        ``series`` is read once.  The (N, K) values are allocated when the
+        first series arrives and each series is written into its column,
+        so only the first series' ids and the values are kept.  A join
+        error is raised once the rest is read, so an error the iterable
+        raises wins.  Only ``ProbSeries`` are taken, as their values are
+        already checked probabilities; the names are checked last.
         """
-        names, cols, error = [], [], None
-        for name, series in columns:
-            if not isinstance(series, ProbSeries):
+        names = tuple(names)
+        values = error = None
+        count = 0
+        for count, column in enumerate(series, 1):
+            if count > len(names):
+                raise ValidationError(f"more series than the {len(names)} model names")
+            name = names[count - 1]
+            if not isinstance(column, ProbSeries):
                 raise ValidationError(
-                    f"model {name!r} is a {type(series).__name__}, not a ProbSeries")
-            if not names:
-                first, base = name, _as_ids(series.ids)
-            names.append(name)
+                    f"model {name!r} is a {type(column).__name__}, not a ProbSeries")
+            if values is None:
+                base = _as_ids(column.ids)
+                values = np.empty((len(base), len(names)))
             if error is None:
                 try:
-                    cols.append(series.align_to(base))
+                    values[:, count - 1] = column.align_to(base)
                 except AlignmentError as exc:
-                    error = AlignmentError(f"model {name!r} vs {first!r}: {exc}")
-            del series  # its ids are freed before the next one is read
-        if not names:
+                    error = AlignmentError(f"model {name!r} vs {names[0]!r}: {exc}")
+            del column  # its ids are freed before the next one is read
+        if values is None:
             raise ValidationError("no prediction columns given")
+        if count < len(names):
+            raise ValidationError(f"{count} series for {len(names)} model names")
         if error is not None:
             raise error
-        return _of_checked(cls, base, np.column_stack(cols),
-                           model_names=_model_names(names))
+        return _of_checked(cls, base, values, model_names=_model_names(names))
 
     @property
     def n_samples(self) -> int:

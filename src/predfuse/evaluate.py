@@ -69,15 +69,19 @@ def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
     size by at most one, which is all a ``FoldSplit`` promises.
     """
     ids = sorted(_as_ids(ids))
-    if n_folds < 2:
-        raise ValidationError("need at least two folds")
-    if len(ids) < n_folds:
-        raise ValidationError(f"cannot split {len(ids)} ids into {n_folds} folds")
+    _check_folds(len(ids), n_folds)
     check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(ids))
     parts = np.array_split(np.asarray(ids, dtype=object)[order], n_folds)
     return FoldSplit(tuple(SampleIds(part) for part in parts))
+
+
+def _check_folds(n_ids: int, n_folds: int) -> None:
+    if n_folds < 2:
+        raise ValidationError("need at least two folds")
+    if n_ids < n_folds:
+        raise ValidationError(f"cannot split {n_ids} ids into {n_folds} folds")
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,10 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
     on, is attached to each record.
     """
     _check_shared_models(train_preds.model_names, test_preds.model_names)
-    split = kfold_split(train_preds.ids, plan.n_folds, plan.seed)
+    if isinstance(method, RuleMethod):  # nothing is fitted: no folds drawn
+        _check_folds(len(train_preds.ids), plan.n_folds)
+    else:
+        split = kfold_split(train_preds.ids, plan.n_folds, plan.seed)
     test_u = LabelVector(test_preds.ids, test_labels.align_to(test_preds.ids))
     records = []
     if isinstance(method, NNMethod):

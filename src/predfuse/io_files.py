@@ -14,11 +14,13 @@ and values come back checked, and the loaders check neither again.
 
 A suite (``load_matrix``, ``load_suite``), named by its files' stems, has
 one id index: a ``{id: row}`` dict over its first prediction file's ids,
-built once that file is read.  Each later prediction file, and the label
-file, is placed into it chunk by chunk as it is read, so it holds no ids,
-set or dict of its own.  A file the placing pass declines (not plain, or
-not exactly the first file's ids) is read again as a file of its own, and
-the join or the caller's alignment decides it as for a file read alone.
+built once that file is read, which is also those ids' duplicate check.
+Each later prediction file, and the label file, is placed into it chunk by
+chunk as it is read, so it holds no ids, set or dict of its own, and the
+join writes each file's values into one (N, K) array.  A file the placing
+pass declines (not plain, or not exactly the first file's ids) is read
+again as a file of its own, and the join or the caller's alignment decides
+it as for a file read alone.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ import json
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from dataclasses import fields
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -97,39 +100,71 @@ def _read_csv(path, column: str, suite=None) -> tuple[SampleIds, np.ndarray]:
     """Checked ids and parsed values of an ``id,<column>`` CSV.
 
     :func:`_parse_plain` reads a plain file in one pass; a file it declines
-    is read again from the start by the row scanner (:func:`_scan_rows`),
-    which decides it, so every error is the scanner's.
+    is read again from the start by the row scanner (:func:`_scan`), which
+    decides it, so every error is the scanner's.
 
     ``suite``, the ids of a suite's first file and the ``{id: row}`` index
-    over them, has the file placed into those rows as it is read
-    (:func:`_place`), so it comes back keyed by the suite's ids.  A file
-    the placing pass declines is read as a file of its own, and placed
-    whole if it holds exactly the suite's ids; otherwise it keeps its own
-    ids, and the caller's alignment reports what differs.
+    over them (:func:`_read_first`), has the file placed into those rows
+    as it is read (:func:`_place`), so it comes back keyed by the suite's
+    ids.  A file the placing pass declines is read as a file of its own,
+    and placed whole if it holds exactly the suite's ids; otherwise it
+    keeps its own ids, and the caller's alignment reports what differs.
     """
     dtype = _COLUMNS[column][3]
-    with open(path, "rb") as fh:
-        # A pipe cannot seek back to the start for a second pass: keep it.
-        src = fh if fh.seekable() else io.BytesIO(fh.read())
+    with _source(path) as src:
         if suite is not None:
             placed = _place(_plain_chunks(src, column), *suite, dtype)
             if placed is not None:
                 return placed
             src.seek(0)
-        parsed = _parse_plain(src, column)
-        if parsed is None:
-            src.seek(0)
-            ids, values = _scan_rows(src, path, column)
-            parsed = SampleIds(ids), np.asarray(values, dtype=dtype)
+        parsed = _parse_plain(src, column) or _scan(src, path, column)
     # Only a file as long as the suite's first can hold exactly its ids.
     if suite is not None and len(parsed[0]) == len(suite[0]):
         return _place([parsed], *suite, dtype) or parsed
     return parsed
 
 
+def _read_first(path) -> tuple[SampleIds, np.ndarray, dict[str, int]]:
+    """Checked ids and values of a suite's first ``id,prob`` CSV, and the
+    ``{id: row}`` index over its ids that later files are placed into.
+
+    The index is also the ids' duplicate check, so no set of them is
+    built; a file :func:`_plain_rows` declines, or one that repeats an id,
+    is decided by the row scanner, as in :func:`_read_csv`.
+    """
+    with _source(path) as src:
+        parsed = _plain_rows(src, "prob")
+        if parsed is not None:
+            ids, values = parsed
+            del parsed
+            ids = SampleIds(ids)  # the id list is freed before the index is built
+            index = _index_of(ids)
+            if len(index) == len(ids):
+                return ids, values, index
+        ids, values = _scan(src, path, "prob")
+    return ids, values, _index_of(ids)
+
+
+@contextmanager
+def _source(path):
+    """``path`` opened for binary reads that can seek back to the start:
+    a pipe, which cannot, is read whole into memory."""
+    with open(path, "rb") as fh:
+        yield fh if fh.seekable() else io.BytesIO(fh.read())
+
+
 def _parse_plain(fh, column: str):
     """Ids and values of a plain ``id,<column>`` CSV read from binary
-    ``fh``, or None.
+    ``fh`` (:func:`_plain_rows`), or None, also when an id repeats."""
+    rows = _plain_rows(fh, column)
+    if rows is None or len(set(rows[0])) != len(rows[0]):
+        return None
+    return SampleIds(rows[0]), rows[1]
+
+
+def _plain_rows(fh, column: str):
+    """Ids, as a list that may repeat one, and values of a plain
+    ``id,<column>`` CSV read from binary ``fh``, or None.
 
     A plain file holds no ``"``, ``\\r`` or NUL (Python 3.10's ``csv``
     rejects NUL, 3.11 reads it), and after an optional BOM and one final
@@ -144,9 +179,9 @@ def _parse_plain(fh, column: str):
             return None
         ids += chunk[0]
         values.append(chunk[1])
-    if not ids or len(set(ids)) != len(ids):
+    if not ids:
         return None
-    return SampleIds(ids), np.concatenate(values)
+    return ids, np.concatenate(values)
 
 
 def _place(chunks, ids: SampleIds, rows: dict[str, int], dtype):
@@ -175,7 +210,7 @@ def _place(chunks, ids: SampleIds, rows: dict[str, int], dtype):
 
 def _plain_chunks(fh, column: str):
     """The ``(ids, values)`` of each chunk of whole lines of a plain
-    ``id,<column>`` CSV (:func:`_parse_plain`), so every temporary is
+    ``id,<column>`` CSV (:func:`_plain_rows`), so every temporary is
     chunk-sized; a last None where the file is found not plain."""
     if fh.readline(64).removeprefix(codecs.BOM_UTF8) != f"id,{column}\n".encode():
         yield None
@@ -210,6 +245,14 @@ def _plain_chunk(block: bytes, parse_all, limit: int):
         return None
     part = parse_all(fields[1::2])
     return None if part is None else (fields[0::2], part)
+
+
+def _scan(src, path, column: str) -> tuple[SampleIds, np.ndarray]:
+    """The row scanner's checked ids and values of ``src``, read again
+    from the start."""
+    src.seek(0)
+    ids, values = _scan_rows(src, path, column)
+    return SampleIds(ids), np.asarray(values, dtype=_COLUMNS[column][3])
 
 
 def _scan_rows(fh, path, column: str) -> tuple[list[str], list]:
@@ -379,18 +422,28 @@ def _load_suite(paths, labels=None):
     paths = [Path(p) for p in paths]
     if not paths:
         raise ValidationError("no prediction files given")
-    first = _of_checked(ProbSeries, *_read_csv(paths[0], "prob"))
     # One file and no labels: nothing is placed, so nothing is indexed.
-    suite = ((first.ids, _index_of(first.ids))
-             if len(paths) > 1 or labels is not None else None)
-    later = (_of_checked(ProbSeries, *_read_csv(path, "prob", suite))
-             for path in paths[1:])
-    matrix = PredictionMatrix.from_columns(
-        zip(model_names(paths), chain([first], later)))
-    del first  # its values are not held while the labels are read
+    if len(paths) == 1 and labels is None:
+        (ids, values), suite = _read_csv(paths[0], "prob"), None
+    else:
+        ids, values, index = _read_first(paths[0])
+        suite = ids, index
+    series = _suite_series(_of_checked(ProbSeries, ids, values), paths[1:], suite)
+    del values  # the join alone holds them, and frees them once copied
+    matrix = PredictionMatrix.from_columns(model_names(paths), series)
     if labels is None:
         return matrix
     return matrix, _of_checked(LabelVector, *_read_csv(labels, "label", suite))
+
+
+def _suite_series(first: ProbSeries, paths, suite):
+    """``first``, then each of ``paths`` read into ``suite`` as it is
+    needed.  Only the join holds ``first`` once it is yielded, so its
+    values are freed as soon as they are copied."""
+    yield first
+    del first
+    for path in paths:
+        yield _of_checked(ProbSeries, *_read_csv(path, "prob", suite))
 
 
 def save_matrix_files(out_dir, matrix: PredictionMatrix,

@@ -18,6 +18,13 @@ Reproducibility: all randomness is drawn from a PCG64 generator seeded with
 uniform doubles (never numpy's normal sampler, whose stream is not
 guaranteed stable across releases).  Draw order is fixed: n label uniforms,
 then n shared normals, then n*K private normals in sample-major order.
+
+Memory: the suite is drawn in place.  The private normals' (n, K) buffer
+becomes the probability matrix; each model's z is built in one n-sized
+column, with the formula's operations in its order, so the bits are those
+of the formula computed out of place, and its sigmoid is written back over
+the model's normals.  Besides the ids, a suite holds one (n, K) array and a
+few n-sized ones at any time.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LabelVector, PredictionMatrix, _of_checked, check_seed,
-                   harden, sigmoid)
+from .core import (_SIGMOID_NOT_FINITE, LabelVector, PredictionMatrix,
+                   _of_checked, _sigmoid, _SigmoidBuffers, check_seed, harden)
 from .errors import ValidationError
 
 __all__ = ["SyntheticSpec", "inv_norm_cdf", "generate", "estimate_error_correlation"]
@@ -114,32 +121,51 @@ class SyntheticSpec:
 
 
 def _box_muller(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` standard normals: the cosines of ``(size + 1) // 2`` pairs,
+    then their sines, drawn into two buffers and one output array."""
     half = (size + 1) // 2
-    u1 = 1.0 - rng.random(half)   # (0, 1], keeps the log finite
-    u2 = rng.random(half)
-    r = np.sqrt(-2.0 * np.log(u1))
-    return np.concatenate([r * np.cos(2.0 * np.pi * u2),
-                           r * np.sin(2.0 * np.pi * u2)])[:size]
+    r = rng.random(half)
+    np.subtract(1.0, r, out=r)  # (0, 1], keeps the log finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle = rng.random(half)
+    angle *= 2.0 * np.pi
+    out = np.empty(2 * half)
+    np.cos(angle, out=out[:half])
+    np.sin(angle, out=out[half:])
+    out[:half] *= r
+    out[half:] *= r
+    return out[:size]
 
 
 def generate(spec: SyntheticSpec) -> tuple[LabelVector, PredictionMatrix]:
-    """Draw one suite; identical specs give bit-identical outputs."""
+    """Draw one suite, in place (see the module docstring); identical specs
+    give bit-identical outputs."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n, k = spec.n, spec.k
     width = len(str(n - 1))
-    ids = tuple(f"{j:0{width}d}" for j in range(n))
-
-    u = (rng.random(n) < spec.balance).astype(np.int64)
-    s = 2.0 * u - 1.0
+    labels = LabelVector(tuple(f"{j:0{width}d}" for j in range(n)),
+                         (rng.random(n) < spec.balance).astype(np.int64))
+    s = np.multiply(labels.values, 2.0)
+    s -= 1.0
     g = _box_muller(rng, n)
+    g *= math.sqrt(spec.rho)
     e = _box_muller(rng, n * k).reshape(n, k)
+    e *= math.sqrt(1.0 - spec.rho)
 
-    mu = np.array([inv_norm_cdf(a) for a in spec.target_acc])
-    z = mu[None, :] * s[:, None] + math.sqrt(spec.rho) * g[:, None] \
-        + math.sqrt(1.0 - spec.rho) * e
-    probs = sigmoid(spec.sharpness * z)
-    labels = LabelVector(ids, u)
-    return labels, _of_checked(PredictionMatrix, labels.ids, probs,
+    col = np.empty(n)
+    buf = _SigmoidBuffers((n,), None, keep_neg_abs=False)  # out set per model
+    for j, a in enumerate(spec.target_acc):
+        np.multiply(s, inv_norm_cdf(a), out=col)
+        col += g
+        col += e[:, j]
+        col *= spec.sharpness
+        if not np.isfinite(col).all():
+            raise ValidationError(_SIGMOID_NOT_FINITE)
+        buf.out = e[:, j]
+        _sigmoid(col, buf)
+    return labels, _of_checked(PredictionMatrix, labels.ids, e,
                                model_names=spec.model_names)
 
 

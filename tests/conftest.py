@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -51,6 +52,18 @@ def step_minima(monkeypatch) -> list[float]:
 
     monkeypatch.setattr(combiner, "Adam", WatchedAdam)
     return seen
+
+
+def traced_peak(fn):
+    """``fn()``'s result, the peak bytes ``tracemalloc`` traced while it
+    ran, and the bytes still live when it returned."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, live
 
 
 def make_matrix(values, ids=None, names=None) -> PredictionMatrix:

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,7 @@ from predfuse.evaluate import parse_report
 from predfuse.hybrid import default_theta_grid
 from predfuse.io_files import load_prediction_file
 
-from conftest import write_shuffled_suite
+from conftest import traced_peak, write_shuffled_suite
 
 
 @pytest.fixture
@@ -151,18 +150,15 @@ class TestTrainAndCombine:
     def test_eval_holds_one_copy_of_the_ids(self, tmp_path, capsys):
         """``eval --preds`` on K = 4 shuffled 20k-row files and a shuffled
         label file reads them as one suite.  The bound sits between this
-        (4.1 MB peak) and reading the labels first with ids of their own,
-        then aligning them to the matrix (5.5 MB peak)."""
+        (3.6 MB peak) and checking the first file's ids with a set of their
+        own and joining the columns by a copy (4.1 MB peak); reading the
+        labels first with ids of their own, then aligning them to the
+        matrix, peaked at 5.5 MB."""
         paths = write_shuffled_suite(tmp_path)
-        tracemalloc.start()
-        try:
-            code = main(["eval", "--preds", *paths,
-                         "--labels", str(tmp_path / "labels.csv")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak, _ = traced_peak(lambda: main(
+            ["eval", "--preds", *paths, "--labels", str(tmp_path / "labels.csv")]))
         assert code == 0 and capsys.readouterr().out.count("\n") == 5
-        assert peak < 5.0e6, peak
+        assert peak < 3.8e6, peak
 
 
 class TestExitCodes:

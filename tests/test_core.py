@@ -298,7 +298,7 @@ class TestContainers:
     def test_from_columns_joins_on_ids(self):
         a = ProbSeries(("x", "y"), [0.1, 0.9])
         b = ProbSeries(("y", "x"), [0.8, 0.2])
-        m = PredictionMatrix.from_columns([("A", a), ("B", b)])
+        m = PredictionMatrix.from_columns(["A", "B"], [a, b])
         assert m.ids == ("x", "y")
         np.testing.assert_allclose(m.values, [[0.1, 0.2], [0.9, 0.8]])
 
@@ -306,7 +306,7 @@ class TestContainers:
         a = ProbSeries(("x", "y"), [0.1, 0.9])
         b = ProbSeries(("x", "z"), [0.8, 0.2])
         with pytest.raises(AlignmentError):
-            PredictionMatrix.from_columns([("A", a), ("B", b)])
+            PredictionMatrix.from_columns(["A", "B"], [a, b])
 
     @pytest.mark.parametrize("b_ids, lacking", [
         (("y", "z"), "'x'"),        # B lacks an id of A
@@ -316,14 +316,14 @@ class TestContainers:
         a = ProbSeries(("x", "y"), [0.1, 0.9])
         b = ProbSeries(b_ids, [0.5] * len(b_ids))
         with pytest.raises(AlignmentError, match=f"model 'B' vs 'A': .*{lacking}"):
-            PredictionMatrix.from_columns([("A", a), ("B", b)])
+            PredictionMatrix.from_columns(["A", "B"], [a, b])
 
     def test_from_columns_takes_only_prob_series(self):
         a = ProbSeries(("x", "y"), [0.1, 0.9])
         labels = LabelVector(("x", "y"), [0, 1])
         with pytest.raises(ValidationError,
                            match="^model 'B' is a LabelVector, not a ProbSeries$"):
-            PredictionMatrix.from_columns([("A", a), ("B", labels)])
+            PredictionMatrix.from_columns(["A", "B"], [a, labels])
 
     def test_select_unknown_model(self):
         m = make_matrix([[0.5, 0.6]])
@@ -479,7 +479,7 @@ class TestCheckedIds:
         sub = m.select(["M2", "M1"])
         col = m.column("M1")
         scores = predict(CombinerWeights(("M1", "M2"), [1.0, 0.5], 0.2), m)
-        joined = PredictionMatrix.from_columns([("A", col), ("B", scores)])
+        joined = PredictionMatrix.from_columns(["A", "B"], [col, scores])
         assert labels.align_to(sub.ids).tolist() == [0, 1, 1]
         assert joined.ids == sub.ids == col.ids == scores.ids == m.ids
         assert checks == []

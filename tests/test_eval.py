@@ -5,8 +5,8 @@ import pytest
 from predfuse import (AlignmentError, ConstraintError, HybridMethod,
                       LabelVector, NNMethod, RuleMethod, RunPlan,
                       TrainConfig, ValidationError, accuracy, core,
-                      cross_validate, derive_seed, kfold_split, mean_stdev,
-                      parse_report, predict, report_render, train)
+                      cross_validate, derive_seed, evaluate, kfold_split,
+                      mean_stdev, parse_report, predict, report_render, train)
 from predfuse.synth import SyntheticSpec, generate
 
 FAST_NN = NNMethod(config=TrainConfig(epochs=3, seed=0))
@@ -113,6 +113,27 @@ class TestCrossValidate:
         assert len(report.records) == 5
         assert report.stdev == 0.0
         assert report.method == "max"
+
+    def test_rule_method_draws_no_folds(self, monkeypatch):
+        train_m, train_u, test_m, test_u = small_suite()
+        tiny_m, tiny_u = (v.restrict(train_m.ids[:3]) for v in (train_m, train_u))
+        plan = RunPlan(n_folds=4, repeats_per_fold=3, seed=2)
+        method = RuleMethod("max")
+        want = report_render(cross_validate(plan, train_m, train_u, test_m,
+                                            test_u, method))
+        with pytest.raises(ValidationError) as small:
+            cross_validate(plan, tiny_m, tiny_u, test_m, test_u, method)
+        assert str(small.value) == "cannot split 3 ids into 4 folds"
+
+        def no_split(*args):
+            raise AssertionError("a rule method drew folds")
+        monkeypatch.setattr(evaluate, "kfold_split", no_split)
+        got = report_render(cross_validate(plan, train_m, train_u, test_m,
+                                           test_u, method))
+        assert got == want
+        with pytest.raises(ValidationError) as again:
+            cross_validate(plan, tiny_m, tiny_u, test_m, test_u, method)
+        assert str(again.value) == str(small.value)
 
     def test_hybrid_method_one_record_per_fold_with_theta(self):
         train_m, train_u, test_m, test_u = small_suite(n_train=200)

@@ -4,7 +4,6 @@ import json
 import os
 import stat
 import sys
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +22,7 @@ from predfuse.io_files import (atomic_write_text, load_label_file, load_matrix,
                                save_prediction_file, save_weights)
 from predfuse.synth import SyntheticSpec, generate
 
-from conftest import write_shuffled_suite
+from conftest import traced_peak, write_shuffled_suite
 
 
 def write(path, text):
@@ -353,19 +352,31 @@ class TestLoadMatrix:
 
     def test_later_files_and_labels_hold_no_ids_of_their_own(self, tmp_path):
         """K = 4 shuffled 20k-row files and a shuffled label file, loaded
-        as one suite: only the first file's ids, and one index over them,
-        are ever held.  The bounds sit between this (4.0 MB peak, 2.0 MB
-        live) and reading every file with ids of its own, then aligning it
-        (6.0 MB peak, 3.3 MB live)."""
+        as one suite: only the first file's ids, one index over them, which
+        is also their duplicate check, and the (N, K) values are ever held.
+        The peak bound sits between this (3.56 MB peak, 2.0 MB live) and
+        checking the first file's ids with a set of their own and joining K
+        columns by a copy (4.05 MB peak); reading every file with ids of
+        its own, then aligning it, peaked at 6.0 MB with 3.3 MB live."""
         paths = write_shuffled_suite(tmp_path)
-        tracemalloc.start()
-        try:
-            m, u = io_files.load_suite(paths, tmp_path / "labels.csv")
-            live, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (m, u), peak, live = traced_peak(
+            lambda: io_files.load_suite(paths, tmp_path / "labels.csv"))
         assert u.ids is m.ids
-        assert peak < 5.0e6 and live < 2.7e6, (peak, live)
+        assert peak < 3.8e6 and live < 2.7e6, (peak, live)
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_a_repeated_id_in_the_first_file_is_the_scanners_error(
+            self, tmp_path, labels):
+        write(tmp_path / "m1.csv", "id,prob\na,0.1\nb,0.9\na,0.5\n")
+        write(tmp_path / "m2.csv", "id,prob\na,0.8\nb,0.2\n")
+        write(tmp_path / "labels.csv", "id,label\na,1\nb,0\n")
+        paths = [tmp_path / "m1.csv", tmp_path / "m2.csv"]
+        with pytest.raises(ValidationError) as err:
+            if labels:
+                io_files.load_suite(paths, tmp_path / "labels.csv")
+            else:
+                load_matrix(paths)
+        assert str(err.value) == f"{paths[0]}:4: duplicate id 'a'"
 
     def test_no_files_rejected(self):
         with pytest.raises(ValidationError):
@@ -450,7 +461,7 @@ class TestLoadSuite:
         """Each file read on its own: the matrix joined by ``from_columns``,
         then the label file with its own ids."""
         matrix = PredictionMatrix.from_columns(
-            (Path(path).stem, load_prediction_file(path)) for path in paths)
+            [Path(path).stem for path in paths], map(load_prediction_file, paths))
         return matrix, load_label_file(labels)
 
     @staticmethod

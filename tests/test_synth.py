@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import ndtri
 
 from predfuse import (ValidationError, accuracy, core, harden,
-                      estimate_error_correlation, generate, inv_norm_cdf)
+                      estimate_error_correlation, generate, inv_norm_cdf,
+                      sigmoid)
 from predfuse.synth import SyntheticSpec
 
-from conftest import make_labels, make_matrix
+from conftest import make_labels, make_matrix, traced_peak
 
 
 # Independent oracle: bisection on the erf-based normal CDF.
@@ -20,6 +22,41 @@ def bisect_quantile(q, lo=-12.0, hi=12.0):
         else:
             hi = mid
     return (lo + hi) / 2.0
+
+
+# Reference: the generator written out of place, one full-size temporary per
+# operation, as the module formula reads.
+def reference_box_muller(rng, size):
+    half = (size + 1) // 2
+    u1 = 1.0 - rng.random(half)
+    u2 = rng.random(half)
+    r = np.sqrt(-2.0 * np.log(u1))
+    return np.concatenate([r * np.cos(2.0 * np.pi * u2),
+                           r * np.sin(2.0 * np.pi * u2)])[:size]
+
+
+def reference_generate(spec):
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    n, k = spec.n, spec.k
+    u = (rng.random(n) < spec.balance).astype(np.int64)
+    s = 2.0 * u - 1.0
+    g = reference_box_muller(rng, n)
+    e = reference_box_muller(rng, n * k).reshape(n, k)
+    mu = np.array([inv_norm_cdf(a) for a in spec.target_acc])
+    z = mu[None, :] * s[:, None] + math.sqrt(spec.rho) * g[:, None] \
+        + math.sqrt(1.0 - spec.rho) * e
+    return u, sigmoid(spec.sharpness * z)
+
+
+def _bits_or_error(draw):
+    """The label and value bits ``draw()`` returns, or its error text.  A
+    huge sharpness overflows to inf, which both generators report."""
+    try:
+        with np.errstate(over="ignore"):
+            u, probs = draw()
+    except ValidationError as exc:
+        return str(exc)
+    return u.dtype, u.tobytes(), probs.shape, probs.dtype, probs.tobytes()
 
 
 class TestInvNormCdf:
@@ -78,6 +115,32 @@ class TestGenerate:
         assert la.ids == lb.ids
         np.testing.assert_array_equal(la.values, lb.values)
         np.testing.assert_array_equal(ma.values, mb.values)
+
+    @given(n=st.integers(1, 300), k=st.integers(1, 6),
+           acc=st.lists(st.floats(0.5, 0.999), min_size=6, max_size=6),
+           rho=st.floats(0.0, 0.999), balance=st.floats(0.0, 1.0),
+           sharpness=st.floats(0.01, 50.0) | st.sampled_from([1e300, 1e308]),
+           seed=st.integers(0, 2**63))
+    def test_bits_match_the_out_of_place_reference(self, n, k, acc, rho,
+                                                   balance, sharpness, seed):
+        spec = SyntheticSpec(k=k, target_acc=tuple(acc[:k]), rho=rho, n=n,
+                             balance=balance, sharpness=sharpness, seed=seed)
+
+        def drawn():
+            labels, matrix = generate(spec)
+            assert labels.ids == tuple(f"{j:0{len(str(n - 1))}d}" for j in range(n))
+            return labels.values, np.ascontiguousarray(matrix.values)
+        assert _bits_or_error(drawn) == _bits_or_error(lambda: reference_generate(spec))
+
+    def test_draws_in_place(self):
+        """n = 50k, K = 5: the bound sits between drawing in place (8.3 MB
+        peak, most of it the ids and their one check) and one full-size
+        temporary per operation (16.3 MB peak)."""
+        spec = SyntheticSpec(k=5, target_acc=(0.8, 0.85, 0.9, 0.87, 0.83),
+                             n=50_000, seed=0)
+        (labels, matrix), peak, _ = traced_peak(lambda: generate(spec))
+        assert matrix.values.shape == (50_000, 5)
+        assert peak < 1.0e7, peak
 
     def test_ids_checked_once(self, monkeypatch):
         checks = []

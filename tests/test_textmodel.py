@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,8 @@ from predfuse.textmodel import (LogisticModel, Vocabulary, _encode_rows,
                                 build_vocab, encode, load_corpus,
                                 logistic_gradient, logistic_loss,
                                 predict_proba, tokenize, train_logistic)
+
+from conftest import traced_peak
 
 _TOKENS = ["good", "bad", "film", "plot", "x1", "the", "a9"]
 # pieces of documents: vocabulary words in any case, unknown words, and
@@ -141,12 +142,8 @@ class TestTrain:
         docs = [" ".join(rng.choice(words, size=rng.integers(8, 21)))
                 for _ in range(2000)]
         labels = rng.integers(0, 2, size=2000).tolist()
-        tracemalloc.start()
-        try:
-            model = train_logistic(docs, labels, v_size=300, epochs=2, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        model, peak, _ = traced_peak(
+            lambda: train_logistic(docs, labels, v_size=300, epochs=2, seed=0))
         assert model.weights.shape == (300,)
         assert peak < 2000 * 300 * 8 / 2
 
