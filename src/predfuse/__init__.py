@@ -11,23 +11,19 @@ synthetic suite generator, a cross-validation harness, and CSV/JSON file
 formats with a CLI (``predfuse --help``).
 """
 
-from .bounds import BoundReport, normalized_score, weight_sum, weight_sum_bounds
-from .combiner import (CombinerWeights, TrainConfig, TrainResult, forward,
-                       gradient, loss, predict, raw_score, train,
-                       train_runs)
+from .bounds import BoundReport, weight_sum, weight_sum_bounds
+from .combiner import (CombinerWeights, TrainConfig, TrainResult, gradient,
+                       loss, predict, train, train_runs)
 from .core import (LabelVector, PredictionMatrix, ProbSeries, accuracy,
-                   assign_class, binary_norm, harden, shifted_sigmoid,
-                   sigmoid, thresholded_distance, thresholded_norm)
+                   harden, sigmoid, thresholded_distance, thresholded_norm)
 from .errors import (AlignmentError, ConstraintError, DegenerateWeightsError,
                      PredfuseError, ValidationError)
-from .evaluate import (EvalReport, FoldSplit, HybridMethod, NNMethod,
-                       RuleMethod, RunPlan, RunRecord, cross_validate,
-                       derive_seed, kfold_split, mean_stdev, parse_report,
-                       report_render)
-from .hybrid import (HybridConfig, HybridPrediction, SweepResult, confidence,
+from .evaluate import (EvalReport, HybridMethod, NNMethod, RuleMethod,
+                       RunPlan, RunRecord, cross_validate, derive_seed,
+                       kfold_split, mean_stdev, report_render)
+from .hybrid import (HybridConfig, HybridPrediction, SweepResult,
                      default_theta_grid, hybrid_predict, theta_sweep)
-from .rules import (RULE_KINDS, RuleDecision, apply_rule, average_rule,
-                    majority_vote, max_rule, sum_rule)
+from .rules import RULE_KINDS, apply_rule
 from .synth import (SyntheticSpec, estimate_error_correlation, generate,
                     inv_norm_cdf)
 

@@ -19,14 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .combiner import CombinerWeights
-from .core import (LabelVector, PredictionMatrix, check_probs, sigmoid,
+from .core import (LabelVector, PredictionMatrix, sigmoid,
                    thresholded_distance, thresholded_norm)
-from .errors import DegenerateWeightsError, ValidationError
+from .errors import DegenerateWeightsError
 
-__all__ = ["BoundReport", "weight_sum", "normalized_score", "weight_sum_bounds"]
+__all__ = ["BoundReport", "weight_sum", "weight_sum_bounds"]
 
 
 @dataclass(frozen=True)
@@ -46,21 +44,6 @@ class BoundReport:
 def weight_sum(weights: CombinerWeights) -> float:
     """Sum of the combination weights."""
     return float(weights.w.sum())
-
-
-def normalized_score(weights: CombinerWeights, p) -> float:
-    """Convex combination sum((w_i / W) * p_i); needs W > 0.
-
-    Coefficients sum to one, so the result lies between min(p) and max(p).
-    """
-    v = np.asarray(p, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != weights.k:
-        raise ValidationError(f"expected {weights.k} probabilities")
-    check_probs(v)
-    total = weight_sum(weights)
-    if total <= 0.0:
-        raise DegenerateWeightsError("all combination weights are zero")
-    return float(v @ (weights.w / total))
 
 
 def weight_sum_bounds(weights: CombinerWeights, matrix: PredictionMatrix,

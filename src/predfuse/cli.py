@@ -14,6 +14,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import io_files
 from .combiner import TrainConfig, predict, train
 from .core import accuracy, check_threshold
@@ -256,7 +258,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        # an overflow is reported as the error it leads to, never as
+        # numpy's warning
+        with np.errstate(over="ignore"):
+            _COMMANDS[args.command](args)
     except ConstraintError as exc:
         print(f"predfuse: constraint violation: {exc}", file=sys.stderr)
         return 3

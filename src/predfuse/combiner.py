@@ -7,10 +7,10 @@ Training minimizes mean binary cross-entropy plus an L2 penalty on the
 weights (not the shift) with ADAM, projecting weights back to >= 0 after
 every step and recording whether any projection actually clipped.
 
-:func:`predict` is the forward kernel; the scalar helpers :func:`raw_score`
-and :func:`forward` are one-row views of it.  :func:`gradient` and every
-step of the package's one training loop, which also fits the toy text model,
-share one private gradient kernel; :class:`TrainConfig` owns its settings.
+:func:`predict` is the one forward kernel, over a whole prediction matrix.
+:func:`gradient` and every step of the package's one training loop, which
+also fits the toy text model, share one private gradient kernel;
+:class:`TrainConfig` owns its settings.
 
 The loop advances R independent runs in lock step: their parameters form
 one ``(R, K+1)`` array under one ADAM, each run draws its own minibatches
@@ -43,8 +43,8 @@ from .core import (_SIGMOID_NOT_FINITE, LabelVector, PredictionMatrix,
 from .errors import ConstraintError, ValidationError
 from .optim import Adam
 
-__all__ = ["CombinerWeights", "TrainConfig", "TrainResult", "raw_score",
-           "forward", "predict", "loss", "gradient", "train", "train_runs"]
+__all__ = ["CombinerWeights", "TrainConfig", "TrainResult", "predict", "loss",
+           "gradient", "train", "train_runs"]
 
 _LOG_EPS = 1e-12  # clamp inside the BCE logarithms only
 
@@ -79,10 +79,6 @@ class CombinerWeights:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "t", check_threshold(self.t))
 
-    @property
-    def k(self) -> int:
-        return len(self.model_names)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -113,21 +109,6 @@ class TrainResult:
     config: TrainConfig
     clipped_any: bool
     degenerate_labels: bool
-
-
-def _row(weights: CombinerWeights, p) -> PredictionMatrix:
-    """One sample's K probabilities as a one-row matrix."""
-    return PredictionMatrix(("0",), weights.model_names, np.asarray(p)[None])
-
-
-def raw_score(weights: CombinerWeights, p) -> float:
-    """Weighted sum of model probabilities; non-negative by construction."""
-    return float((_row(weights, p).values @ weights.w)[0])
-
-
-def forward(weights: CombinerWeights, p) -> float:
-    """Combined probability: sigmoid(raw_score - b)."""
-    return float(predict(weights, _row(weights, p)).values[0])
 
 
 def predict(weights: CombinerWeights, matrix: PredictionMatrix) -> ProbSeries:

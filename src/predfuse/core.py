@@ -37,10 +37,7 @@ __all__ = [
     "ProbSeries",
     "PredictionMatrix",
     "sigmoid",
-    "shifted_sigmoid",
-    "assign_class",
     "harden",
-    "binary_norm",
     "thresholded_norm",
     "thresholded_distance",
     "accuracy",
@@ -378,52 +375,17 @@ def _sigmoid(x: np.ndarray, buf: _SigmoidBuffers) -> np.ndarray:
     return np.divide(buf.e_low, den, out=buf.out)  # 1/(1+e^-x), or e^x/(1+e^x)
 
 
-def shifted_sigmoid(score, b: float):
-    """Sigmoid with its argument re-centred: sigmoid(score - b).
-
-    Combined scores of non-negative weights live in [0, sum(w)], to the right
-    of the sigmoid's centre; subtracting the shift b re-centres them before
-    thresholding.
-    """
-    return sigmoid(np.asarray(score, dtype=np.float64) - float(b))
-
-
-def assign_class(p: float, t: float = 0.5) -> int:
-    """Class label for a probability: 1 iff p >= t, else 0.
-
-    The boundary goes to class 1. Input must be a probability; use
-    :func:`harden` for raw-valued series.
-    """
-    t = check_threshold(t)
-    return 1 if check_probs(float(p)) >= t else 0
-
-
 def harden(values, t: float = 0.5) -> np.ndarray:
     """Apply the >= t class-assignment rule elementwise to a raw series.
 
-    Unlike :func:`assign_class` this accepts any finite values, so it can
-    harden unbounded scores as well as probabilities.
+    The boundary goes to class 1.  Any finite values are accepted, so it
+    hardens unbounded scores as well as probabilities.
     """
     t = check_threshold(t)
     v = np.asarray(values, dtype=np.float64)
     if not np.isfinite(v).all():
         raise ValidationError("series must be finite")
     return (v >= t).astype(np.int64)
-
-
-def _binary_values(f) -> np.ndarray:
-    if isinstance(f, LabelVector):
-        return f.values
-    v = np.asarray(f)
-    if not np.isin(v, (0, 1)).all():
-        raise ValidationError("binary norm needs a 0/1 vector")
-    return v.astype(np.int64)
-
-
-def binary_norm(f) -> float:
-    """Euclidean norm of a binary vector: sqrt(count of ones)."""
-    v = _binary_values(f)
-    return float(np.sqrt(int(v.sum())))
 
 
 def thresholded_norm(values, t: float = 0.5) -> float:

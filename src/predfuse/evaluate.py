@@ -28,10 +28,10 @@ from .hybrid import (HybridConfig, _check_models, _check_theta, hybrid_predict,
                      theta_sweep)
 from .rules import apply_rule, check_rule_kind
 
-__all__ = ["FoldSplit", "RunPlan", "RunRecord", "EvalReport",
+__all__ = ["RunPlan", "RunRecord", "EvalReport",
            "NNMethod", "RuleMethod", "HybridMethod",
            "kfold_split", "derive_seed", "mean_stdev", "cross_validate",
-           "report_render", "parse_report"]
+           "report_render"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,21 +52,14 @@ def derive_seed(plan_seed: int, fold: int, repeat: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    """Disjoint id sets covering the input; sizes differ by at most one."""
-
-    folds: tuple[tuple[str, ...], ...]
-
-
-def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
+def kfold_split(ids, n_folds: int, seed: int) -> tuple[SampleIds, ...]:
     """Seeded shuffle of the canonically sorted ids, then contiguous cuts.
 
     Plain ids are checked as a constructor checks them (``core._as_ids``);
-    ids a matrix or label vector carries are not checked again.  Each fold
-    comes back as checked ids, which ``restrict`` takes as they are.  The
-    cuts of unique ids are disjoint, at least two, non-empty, and differ in
-    size by at most one, which is all a ``FoldSplit`` promises.
+    ids a matrix or label vector carries are not checked again.  Returns
+    one tuple of checked ids per fold, which ``restrict`` takes as they
+    are.  The cuts of unique ids are disjoint, at least two, non-empty, and
+    differ in size by at most one.
     """
     ids = sorted(_as_ids(ids))
     _check_folds(len(ids), n_folds)
@@ -74,7 +67,7 @@ def kfold_split(ids, n_folds: int, seed: int) -> FoldSplit:
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(ids))
     parts = np.array_split(np.asarray(ids, dtype=object)[order], n_folds)
-    return FoldSplit(tuple(SampleIds(part) for part in parts))
+    return tuple(SampleIds(part) for part in parts)
 
 
 def _check_folds(n_ids: int, n_folds: int) -> None:
@@ -194,7 +187,7 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
     if isinstance(method, NNMethod):
         label = "nn"
         folds = [(train_preds.restrict(ids), train_labels.restrict(ids))
-                 for ids in split.folds]
+                 for ids in split]
         grid = [(f, r) for f in range(plan.n_folds)
                 for r in range(plan.repeats_per_fold)]
         results = train_runs(folds, [
@@ -212,7 +205,7 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
                                      detail=f"rule={method.rule}"))
     elif isinstance(method, HybridMethod):
         label = f"hybrid-{method.rule}"
-        for f, fold_ids in enumerate(split.folds):
+        for f, fold_ids in enumerate(split):
             fold_m = train_preds.restrict(fold_ids)
             fold_u = train_labels.restrict(fold_ids)
             sweep = theta_sweep(method.base, method.aux, method.rule,
@@ -287,38 +280,3 @@ def report_render(report: EvalReport, include_runs: bool = True) -> str:
 def _row(values: dict[str, str]) -> str:
     return "\t".join(values.get(c, "") for c in _COLUMNS)
 
-
-def parse_report(text: str) -> EvalReport:
-    """Parse :func:`report_render` output back into an EvalReport.
-
-    Bound rows come back with the four serialized fields only; the norms the
-    TSV does not carry are NaN.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split("\t") != list(_COLUMNS):
-        raise ValidationError("not a recognizable evaluation report")
-    method, mean, stdev = None, None, None
-    records = []
-    for ln in lines[1:]:
-        cells = dict(zip(_COLUMNS, ln.split("\t")))
-        if cells["kind"] == "summary":
-            mean, stdev = float(cells["mean"]), float(cells["stdev"])
-            method = cells["detail"].removeprefix("method=")
-        elif cells["kind"] == "run":
-            bound = None
-            if cells["W"]:
-                w, lo, hi = (float(cells[c]) for c in ("W", "lower", "upper"))
-                bound = BoundReport(
-                    W=w, lower=lo, upper=hi, norm_u=math.nan, err_y=math.nan,
-                    err_yhat=math.nan, contained=cells["contained"] == "yes",
-                    degenerate=math.isinf(hi))
-            records.append(RunRecord(
-                fold=int(cells["fold"]), repeat=int(cells["repeat"]),
-                accuracy=float(cells["accuracy"]), detail=cells["detail"],
-                bound=bound))
-        else:
-            raise ValidationError(f"unknown report row kind {cells['kind']!r}")
-    if mean is None:
-        raise ValidationError("report has no summary row")
-    return EvalReport(method=method, records=tuple(records),
-                      mean=mean, stdev=stdev)

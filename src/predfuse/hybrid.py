@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (LabelVector, PredictionMatrix, ProbSeries, _of_checked,
-                   check_probs, harden)
+                   harden)
 from .errors import ConstraintError, ValidationError
 from .rules import check_rule_kind, rule_scores
 
-__all__ = ["HybridConfig", "HybridPrediction", "SweepResult", "confidence",
-           "hybrid_predict", "theta_sweep", "default_theta_grid"]
+__all__ = ["HybridConfig", "HybridPrediction", "SweepResult", "hybrid_predict",
+           "theta_sweep", "default_theta_grid"]
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,6 @@ class HybridPrediction:
     @property
     def fallback_fraction(self) -> float:
         return float(self.fallback.mean())
-
-
-def confidence(p: float) -> float:
-    """Distance-from-the-boundary confidence of a probability: max(p, 1-p)."""
-    p = float(p)
-    check_probs(p)
-    return max(p, 1.0 - p)
 
 
 def _decision_arrays(cfg_base: str, cfg_aux, rule: str, matrix: PredictionMatrix):

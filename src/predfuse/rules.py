@@ -11,66 +11,22 @@ Useful identities, all covered by tests:
   * for K = 2, max also agrees with sum, because max(p) + min(p) = p1 + p2;
   * majority vote equals sum when every p_i is already hard (0 or 1).
 
-Each rule has one implementation, the vectorized :func:`rule_scores`.  The
-scalar helpers (:func:`sum_rule` and friends) are one-row views of it, so
-tests that check them against brute-force oracles check the kernel itself.
+Each rule has one implementation, the vectorized :func:`rule_scores` over an
+(N, K) block; :func:`apply_rule` is its entry for a prediction matrix.  Its
+score is a reportable confidence surrogate in [0, 1], defined so that
+label == (score >= 0.5) for every rule; decisions never depend on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import PredictionMatrix, ProbSeries, _of_checked, check_probs
+from .core import PredictionMatrix, ProbSeries, _of_checked
 from .errors import ConstraintError, ValidationError
 
 RULE_KINDS = ("sum", "avg", "max", "maj")
 
-__all__ = ["RULE_KINDS", "RuleDecision", "sum_rule", "average_rule", "max_rule",
-           "majority_vote", "apply_rule", "rule_scores"]
-
-
-@dataclass(frozen=True)
-class RuleDecision:
-    """A rule's class label plus a reportable confidence surrogate in [0, 1].
-
-    The score is defined so that label == (score >= 0.5) for every rule; it
-    exists for reporting and file export, decisions never depend on it.
-    """
-
-    label: int
-    score: float
-
-
-def _one_row(rule: str, p) -> RuleDecision:
-    """A rule's decision for one sample: the first row of :func:`rule_scores`."""
-    scores, labels = rule_scores(rule, check_probs(p)[None])
-    return RuleDecision(label=int(labels[0]), score=float(scores[0]))
-
-
-def sum_rule(p) -> RuleDecision:
-    """Class 1 iff sum(p) >= sum(1 - p), i.e. mean(p) >= 0.5."""
-    return _one_row("sum", p)
-
-
-def average_rule(p) -> RuleDecision:
-    """Class with the larger mean posterior; decides identically to sum_rule."""
-    return _one_row("avg", p)
-
-
-def max_rule(p) -> RuleDecision:
-    """Class 1 iff max(p) >= max(1 - p); score normalizes the two maxima."""
-    return _one_row("max", p)
-
-
-def majority_vote(p) -> RuleDecision:
-    """Each model votes its hardened label; the majority wins.
-
-    Only defined for odd K: an even panel can tie, so it is rejected rather
-    than silently broken.
-    """
-    return _one_row("maj", p)
+__all__ = ["RULE_KINDS", "apply_rule", "rule_scores"]
 
 
 def check_rule_kind(rule: str) -> str:

@@ -7,6 +7,8 @@ independent oracles, and the qualitative structure of the results on
 calibrated synthetic predictor suites.
 """
 
+import csv
+import io
 import math
 import time
 
@@ -82,14 +84,13 @@ def test_criterion_2_rule_oracle(rng):
         return 1 if s1 >= s0 else 0
 
     mismatches = 0
-    for _ in range(10_000):
-        k = int(rng.integers(1, 8))
-        p = rng.uniform(0, 1, size=k)
-        for rule, fn in (("sum", pf.sum_rule), ("avg", pf.average_rule),
-                         ("max", pf.max_rule)):
-            mismatches += fn(p).label != oracle(rule, p)
-        if k % 2 == 1:
-            mismatches += pf.majority_vote(p).label != oracle("maj", p)
+    ks = rng.integers(1, 8, size=10_000)
+    for k in range(1, 8):
+        block = rng.uniform(0, 1, size=(int((ks == k).sum()), k))
+        for rule in pf.RULE_KINDS if k % 2 == 1 else ("sum", "avg", "max"):
+            _, labels = rule_scores(rule, block)
+            mismatches += sum(int(label != oracle(rule, p))
+                              for label, p in zip(labels, block))
     report(2, mismatches == 0,
            f"all four rules match the two-class argmax oracle on 10k vectors "
            f"({mismatches} mismatches)")
@@ -272,17 +273,20 @@ def test_criterion_8_protocol_fidelity(tmp_path):
                                        for i in (1, 2, 3, 4)),
                      "--test-labels", str(test_dir / "labels.csv"),
                      "--out", str(out)])
-    rep = pf.parse_report(out.read_text(encoding="utf-8"))
-    grid = {(r.fold, r.repeat) for r in rep.records}
+    summary, *runs = csv.DictReader(
+        io.StringIO(out.read_text(encoding="utf-8")), delimiter="\t")
+    grid = {(int(r["fold"]), int(r["repeat"])) for r in runs}
+    mean, stdev = float(summary["mean"]), float(summary["stdev"])
     pool = load_label_file(train_dir / "labels.csv")
     folds = pf.kfold_split(pool.ids, 5, seed=0)
-    sizes = [len(f) for f in folds.folds]
-    ok = (code == 0 and len(rep.records) == 150
+    sizes = [len(f) for f in folds]
+    ok = (code == 0 and summary["kind"] == "summary"
+          and [r["kind"] for r in runs] == ["run"] * 150
           and grid == {(f, r) for f in range(5) for r in range(30)}
           and sizes == [5000] * 5
-          and math.isfinite(rep.mean) and math.isfinite(rep.stdev))
-    report(8, ok, f"cv --folds 5 --repeats 30 gave {len(rep.records)} nn runs, "
-                  f"folds {sizes}, mean {rep.mean:.4f} stdev {rep.stdev:.4f}")
+          and math.isfinite(mean) and math.isfinite(stdev))
+    report(8, ok, f"cv --folds 5 --repeats 30 gave {len(runs)} nn runs, "
+                  f"folds {sizes}, mean {mean:.4f} stdev {stdev:.4f}")
 
 
 def test_criterion_9_synthetic_calibration():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from predfuse import (CombinerWeights, DegenerateWeightsError, TrainConfig,
-                      normalized_score, train, weight_sum, weight_sum_bounds)
+                      train, weight_sum, weight_sum_bounds)
 from predfuse.synth import SyntheticSpec, generate
 
 from conftest import make_labels, make_matrix
@@ -53,33 +53,6 @@ class TestWeightSum:
 
     def test_single_unit(self):
         assert weight_sum(weights_of([1.0])) == 1.0
-
-
-class TestNormalizedScore:
-    def test_hand_convex_combination(self):
-        assert normalized_score(weights_of([1.0, 3.0]), [0.2, 0.6]) == pytest.approx(
-            0.5, abs=1e-15)
-
-    def test_single_model_identity(self):
-        assert normalized_score(weights_of([2.5]), [0.37]) == pytest.approx(
-            0.37, abs=1e-15)
-
-    def test_equal_weights_give_mean(self, rng):
-        p = rng.uniform(0, 1, size=4)
-        got = normalized_score(weights_of([0.7] * 4), p)
-        assert got == pytest.approx(p.mean(), abs=1e-12)
-
-    def test_stays_inside_input_hull(self, rng):
-        for _ in range(100):
-            k = int(rng.integers(1, 6))
-            w = rng.uniform(0.01, 3, size=k)
-            p = rng.uniform(0, 1, size=k)
-            s = normalized_score(weights_of(w), p)
-            assert p.min() - 1e-12 <= s <= p.max() + 1e-12
-
-    def test_zero_weights_degenerate(self):
-        with pytest.raises(DegenerateWeightsError):
-            normalized_score(weights_of([0.0, 0.0]), [0.5, 0.5])
 
 
 class TestWeightSumBounds:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import predfuse
-from predfuse import LabelVector, core, evaluate, io_files
+from predfuse import (CombinerWeights, LabelVector, ProbSeries, TrainResult,
+                      core, evaluate, io_files)
 from predfuse.cli import _grid, main
 from predfuse.combiner import TrainConfig
-from predfuse.evaluate import parse_report
 from predfuse.hybrid import default_theta_grid
 from predfuse.io_files import load_prediction_file
 
@@ -410,6 +412,9 @@ class TestGrid:
         assert not out.exists()
 
 
+_NOT_FINITE = "predfuse: invalid input: sigmoid input must be finite\n"
+
+
 def _synth_args(suite, out, *flags):
     return ["synth", "--models", "2", "--acc", "0.8,0.9", "--n", "50",
             *flags, "--out", str(out)]
@@ -456,26 +461,30 @@ class TestRejectedAtConfig:
 
 
 class TestDivergence:
-    """Training that overflows: the exit code, the message and the weights
-    file are pinned, and numpy's overflow warnings never reach the user."""
+    """Training or scoring that overflows: the exit code, the message and
+    the weights file are pinned, and numpy's overflow warnings never reach
+    the user."""
 
     @staticmethod
-    def run(tmp_path, *flags):
+    def cli(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(predfuse.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "predfuse", *argv],
+                              env=env, capture_output=True, text=True)
+
+    @classmethod
+    def run(cls, tmp_path, *flags):
         suite = tmp_path / "suite"
         assert main(["synth", "--models", "2", "--acc", "0.7,0.9", "--n", "120",
                      "--seed", "3", "--out", str(suite)]) == 0
-        env = dict(os.environ, PYTHONPATH=str(Path(predfuse.__file__).parents[1]))
-        return subprocess.run(
-            [sys.executable, "-m", "predfuse", "train-nn",
-             "--preds", str(suite / "M1.csv"), str(suite / "M2.csv"),
-             "--labels", str(suite / "labels.csv"), "--epochs", "3",
-             "--seed", "1", *flags, "--out", str(tmp_path / "w.json")],
-            env=env, capture_output=True, text=True)
+        return cls.cli(
+            "train-nn", "--preds", str(suite / "M1.csv"), str(suite / "M2.csv"),
+            "--labels", str(suite / "labels.csv"), "--epochs", "3",
+            "--seed", "1", *flags, "--out", str(tmp_path / "w.json"))
 
     def test_huge_learning_rate_exits_2(self, tmp_path):
         proc = self.run(tmp_path, "--lr", "1e300")
         assert proc.returncode == 2
-        assert proc.stderr == "predfuse: invalid input: sigmoid input must be finite\n"
+        assert proc.stderr == _NOT_FINITE
         assert not (tmp_path / "w.json").exists()
 
     def test_huge_l2_leaves_the_weights_where_they_start(self, tmp_path):
@@ -487,6 +496,39 @@ class TestDivergence:
         assert json.loads(read(weights))["weights"] == [0.5, 0.5]
         assert hashlib.sha256(weights.read_bytes()).hexdigest() == (
             "53e66976aca9aa66973327fac5fca6668cb6076e1a234c3bdcf0afcb740f38bd")
+
+    @pytest.mark.parametrize("command, scale, code, stderr", [
+        pytest.param("synth", 1.0, 2, _NOT_FINITE, id="synth-sharpness"),
+        pytest.param("combine", 1.0, 2, _NOT_FINITE, id="combine-nn"),
+        pytest.param("check-bound", 1.0, 2, _NOT_FINITE, id="check-bound"),
+        # on probabilities <= 0.3 the weighted sums stay finite and only
+        # the weight sum overflows, to inf
+        pytest.param("check-bound", 0.3, 0, "", id="check-bound-low-probs"),
+    ])
+    def test_overflow_warnings_stay_off_stderr(self, tmp_path, command, scale,
+                                               code, stderr):
+        suite = tmp_path / "suite"
+        assert main(["synth", "--models", "2", "--acc", "0.8,0.9", "--n", "50",
+                     "--out", str(suite)]) == 0
+        preds = [str(suite / f"M{i}.csv") for i in (1, 2)]
+        for path in preds:
+            series = load_prediction_file(path)
+            io_files.save_prediction_file(path, ProbSeries(series.ids,
+                                                           series.values * scale))
+        weights = tmp_path / "w.json"
+        io_files.save_weights(weights, TrainResult(
+            CombinerWeights(("M1", "M2"), [1e308, 1e308], 0.0), TrainConfig(),
+            clipped_any=False, degenerate_labels=False))
+        argv = {
+            "synth": ["synth", "--models", "2", "--acc", "0.8,0.9", "--n", "1000",
+                      "--sharpness", "1e308", "--out", str(tmp_path / "s")],
+            "combine": ["combine", "--method", "nn", "--weights", str(weights),
+                        "--preds", *preds, "--out", str(tmp_path / "c.csv")],
+            "check-bound": ["check-bound", "--weights", str(weights), "--preds",
+                            *preds, "--labels", str(suite / "labels.csv")],
+        }[command]
+        proc = self.cli(*argv)
+        assert (proc.returncode, proc.stderr) == (code, stderr)
 
 
 class TestCheckBound:
@@ -514,9 +556,9 @@ class TestCv:
                      "--test-preds", *suite["test_preds"],
                      "--test-labels", suite["test_labels"],
                      "--out", str(out)]) == 0
-        report = parse_report(read(out))
-        assert len(report.records) == 6
-        assert report.method == "nn"
+        rows = list(csv.DictReader(io.StringIO(read(out)), delimiter="\t"))
+        assert [r["kind"] for r in rows] == ["summary"] + ["run"] * 6
+        assert rows[0]["detail"] == "method=nn"
 
     def test_nn_cv_report_bytes_pinned(self, tmp_path):
         # Pinned bits, as in test_combiner.  301 rows make folds of 101, 100
@@ -595,8 +637,8 @@ class TestCv:
                      "--out", str(out)]) == 0
         lines = read(out).strip().splitlines()
         assert len(lines) == 2
-        report = parse_report(read(out))
-        assert report.stdev == 0.0
+        [summary] = csv.DictReader(io.StringIO(read(out)), delimiter="\t")
+        assert float(summary["stdev"]) == 0.0
 
 
 def _bad_labels(path, tmp_path, edit):
@@ -713,7 +755,7 @@ class TestLabelIdsDifferFromPreds:
         test labels are paired and that fold's train labels taken."""
         labels, gone = _bad_labels(suite[side], tmp_path, edit)
         ids = load_prediction_file(suite["train_preds"][0]).ids
-        first_fold = evaluate.kfold_split(ids, 2, TrainConfig.seed).folds[0]
+        first_fold = evaluate.kfold_split(ids, 2, TrainConfig.seed)[0]
         out = tmp_path / "report.tsv"
         code = main(_cv_args(dict(suite, **{side: labels}), out, "--method",
                              "hybrid", "--hybrid-base", base, "--hybrid-aux", *aux))

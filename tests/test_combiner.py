@@ -8,9 +8,8 @@ from scipy.optimize import minimize
 
 from predfuse import (AlignmentError, CombinerWeights, ConstraintError,
                       LabelVector, PredictionMatrix, TrainConfig,
-                      ValidationError, accuracy, derive_seed, forward,
-                      gradient, kfold_split, loss, predict, raw_score, train,
-                      train_runs)
+                      ValidationError, accuracy, derive_seed, gradient,
+                      kfold_split, loss, predict, sigmoid, train, train_runs)
 from predfuse.combiner import _fit, _gradient
 from predfuse.optim import Adam
 from predfuse.synth import SyntheticSpec, generate
@@ -55,38 +54,41 @@ def fd_gradient(names, w, b, matrix, labels, l2, h=1e-5):
 
 class TestForwardPath:
     def test_zero_weights_score(self):
-        assert raw_score(weights_of([0.0, 0.0]), [0.3, 0.9]) == 0.0
+        # a zero weighted sum leaves sigmoid(-b)
+        got = predict(weights_of([0.0, 0.0], b=0.7), make_matrix([[0.3, 0.9]]))
+        assert got.values[0] == sigmoid(-0.7)
 
     def test_reference_weight_row_sums(self):
-        got = raw_score(weights_of(REF_WEIGHTS_2), [1.0, 1.0])
-        assert got == pytest.approx(1.761300802, abs=1e-12)
+        # sigmoid's slope at 0 is 1/4, so this pins the sum to within 1e-12
+        got = predict(weights_of(REF_WEIGHTS_2, b=1.761300802),
+                      make_matrix([[1.0, 1.0]]))
+        assert got.values[0] == pytest.approx(0.5, abs=2.5e-13)
 
     def test_joint_permutation_invariance(self, rng):
         w = rng.uniform(0, 2, size=5)
         p = rng.uniform(0, 1, size=5)
         perm = rng.permutation(5)
-        assert raw_score(weights_of(w), p) == pytest.approx(
-            raw_score(weights_of(w[perm]), p[perm]), abs=1e-12)
+        assert predict(weights_of(w), make_matrix([p])).values[0] == pytest.approx(
+            predict(weights_of(w[perm]), make_matrix([p[perm]])).values[0],
+            abs=1e-12)
 
     def test_forward_at_origin(self):
-        assert forward(weights_of([0.0, 0.0], b=0.0), [0.2, 0.8]) == 0.5
+        got = predict(weights_of([0.0, 0.0], b=0.0), make_matrix([[0.2, 0.8]]))
+        assert got.values[0] == 0.5
 
     def test_forward_reference_row(self):
-        got = forward(weights_of(REF_WEIGHTS_2, b=0.0), [1.0, 1.0])
-        assert got == pytest.approx(0.8533725016187753, abs=1e-12)
+        got = predict(weights_of(REF_WEIGHTS_2, b=0.0), make_matrix([[1.0, 1.0]]))
+        assert got.values[0] == pytest.approx(0.8533725016187753, abs=1e-12)
 
     def test_forward_monotone_in_each_input(self, rng):
         w = weights_of(rng.uniform(0, 2, size=3), b=0.7)
         p = rng.uniform(0.1, 0.9, size=3)
-        base = forward(w, p)
-        for i in range(3):
-            q = p.copy()
-            q[i] += 0.05
-            assert forward(w, q) >= base
+        got = predict(w, make_matrix([p, *(p + 0.05 * np.eye(3))])).values
+        assert (got[1:] >= got[0]).all()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            raw_score(weights_of([1.0, 1.0]), [0.5])
+            predict(weights_of([1.0, 1.0]), make_matrix([[0.5]]))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConstraintError):
@@ -96,8 +98,9 @@ class TestForwardPath:
         m = make_matrix(rng.uniform(0, 1, size=(7, 2)))
         w = weights_of(rng.uniform(0, 2, size=2), b=0.9)
         series = predict(w, m)
-        for i in range(7):
-            assert series.values[i] == pytest.approx(forward(w, m.values[i]), abs=1e-15)
+        for i, sid in enumerate(m.ids):
+            alone = predict(w, m.restrict([sid])).values[0]
+            assert series.values[i] == pytest.approx(alone, abs=1e-15)
 
     def test_predict_matches_hand_computation_on_reference_weights(self):
         m = make_matrix([[1.0, 1.0], [0.0, 0.0], [0.5, 0.25]])
@@ -309,7 +312,7 @@ class TestTrainRuns:
         labels, m = generate(SyntheticSpec(
             k=3, target_acc=(0.55, 0.8, 0.9), rho=0.3, n=n, seed=5))
         split = kfold_split(m.ids, n_folds, seed=1)
-        folds = [(m.restrict(ids), labels.restrict(ids)) for ids in split.folds]
+        folds = [(m.restrict(ids), labels.restrict(ids)) for ids in split]
         runs = [(f, TrainConfig(seed=derive_seed(0, f, r), **cfg))
                 for f in range(n_folds) for r in range(repeats)]
         return folds, runs

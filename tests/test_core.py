@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from predfuse import (AlignmentError, CombinerWeights, LabelVector,
                       PredictionMatrix, ProbSeries, ValidationError, accuracy,
-                      assign_class, binary_norm, core, harden, predict,
-                      shifted_sigmoid, sigmoid, thresholded_distance,
+                      core, harden, predict, sigmoid, thresholded_distance,
                       thresholded_norm)
 from predfuse.cli import main
 from predfuse.io_files import (load_label_file, load_matrix,
@@ -38,6 +37,11 @@ class TestSigmoid:
     def test_analytic_point(self):
         # sigmoid passes through (ln(t/(1-t)), t); here t = 0.8
         assert sigmoid(math.log(4.0)) == pytest.approx(0.8, abs=1e-15)
+
+    def test_hand_evaluated_point(self):
+        # 1/(1 + e^-1.7613008020000001), evaluated by scalar math
+        assert sigmoid(1.7613008020000001) == pytest.approx(
+            0.8533725016187753, abs=1e-12)
 
     def test_antisymmetry(self):
         assert sigmoid(-1.7) == pytest.approx(1.0 - sigmoid(1.7), abs=1e-15)
@@ -83,72 +87,43 @@ class TestSigmoid:
             assert buf.neg_abs.tobytes() == (-np.abs(x * scale)).tobytes()
 
 
-class TestShiftedSigmoid:
-    def test_zero_argument(self):
-        assert shifted_sigmoid(0.5, 0.5) == 0.5
-
-    def test_hand_evaluated_point(self):
-        # 1/(1 + e^-1.7613008020000001), evaluated by scalar math
-        assert shifted_sigmoid(1.7613008020000001, 0.0) == pytest.approx(
-            0.8533725016187753, abs=1e-12)
-
-    def test_shift_equals_score(self, rng):
-        for b in rng.uniform(-5, 5, size=20):
-            assert shifted_sigmoid(b, b) == 0.5
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValidationError):
-            shifted_sigmoid(1.0, math.nan)
-
-
-class TestAssignClass:
+class TestHarden:
     @pytest.mark.parametrize("p,t,want", [(0.7, 0.5, 1), (0.5, 0.5, 1),
                                           (0.3, 0.5, 0), (0.91, 0.91, 1)])
     def test_boundary_goes_to_class_one(self, p, t, want):
-        assert assign_class(p, t) == want
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            assign_class(1.5, 0.5)
-        with pytest.raises(ValidationError):
-            assign_class(-0.1, 0.5)
+        assert harden([p], t).tolist() == [want]
 
     def test_bad_threshold_rejected(self):
         for t in (0.0, 1.0, -1.0, math.nan):
             with pytest.raises(ValidationError):
-                assign_class(0.5, t)
+                harden([0.5], t)
 
     def test_threshold_identity_with_shift(self, rng):
-        # assign_class(shifted_sigmoid(s, b), t) == 1  iff  s >= b + ln(t/(1-t))
+        # harden(sigmoid(s - b), t) == 1  iff  s >= b + ln(t/(1-t))
         for _ in range(50):
             b = rng.uniform(-2, 2)
             t = rng.uniform(0.05, 0.95)
             cut = b + math.log(t / (1 - t))
-            for s in np.linspace(cut - 2, cut + 2, 17):
-                if abs(s - cut) < 1e-9:
-                    continue
-                got = assign_class(shifted_sigmoid(s, b), t)
-                assert got == (1 if s >= cut else 0)
+            s = np.linspace(cut - 2, cut + 2, 17)
+            s = s[abs(s - cut) >= 1e-9]
+            np.testing.assert_array_equal(harden(sigmoid(s - b), t),
+                                          (s >= cut).astype(int))
 
 
 class TestNorms:
     def test_binary_norm_examples(self):
-        assert binary_norm([1, 1, 0, 1]) == pytest.approx(math.sqrt(3), abs=0)
-        assert binary_norm([0, 0, 0]) == 0.0
+        assert thresholded_norm([1, 1, 0, 1]) == pytest.approx(math.sqrt(3), abs=0)
+        assert thresholded_norm([0, 0, 0]) == 0.0
 
     def test_binary_norm_square_is_exact_count(self, rng):
         for _ in range(50):
             f = rng.integers(0, 2, size=rng.integers(1, 200))
-            assert binary_norm(f) ** 2 == pytest.approx(int(f.sum()), abs=1e-9)
+            assert thresholded_norm(f) ** 2 == pytest.approx(int(f.sum()), abs=1e-9)
 
     def test_binary_equals_thresholded_for_any_t(self, rng):
         f = rng.integers(0, 2, size=37)
         for t in (0.1, 0.5, 0.93):
-            assert binary_norm(f) == thresholded_norm(f, t)
-
-    def test_nonbinary_rejected(self):
-        with pytest.raises(ValidationError):
-            binary_norm([0, 2, 1])
+            assert thresholded_norm(f, t) == math.sqrt(int(f.sum()))
 
     def test_thresholded_norm_examples(self):
         assert thresholded_norm([0.9, 0.9, 0.1], 0.5) == pytest.approx(math.sqrt(2))

@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from predfuse import (AlignmentError, ConstraintError, HybridMethod,
-                      LabelVector, NNMethod, RuleMethod, RunPlan,
-                      TrainConfig, ValidationError, accuracy, core,
-                      cross_validate, derive_seed, evaluate, kfold_split,
-                      mean_stdev, parse_report, predict, report_render, train)
+from predfuse import (AlignmentError, BoundReport, ConstraintError,
+                      EvalReport, HybridMethod, LabelVector, NNMethod,
+                      RuleMethod, RunPlan, RunRecord, TrainConfig,
+                      ValidationError, accuracy, core, cross_validate,
+                      derive_seed, evaluate, kfold_split, mean_stdev, predict,
+                      report_render, train)
 from predfuse.synth import SyntheticSpec, generate
 
 FAST_NN = NNMethod(config=TrainConfig(epochs=3, seed=0))
@@ -23,26 +24,26 @@ class TestKFold:
     def test_five_folds_of_five_thousand(self):
         ids = [f"{i:05d}" for i in range(25_000)]
         split = kfold_split(ids, 5, seed=1)
-        assert [len(f) for f in split.folds] == [5000] * 5
-        assert set().union(*map(set, split.folds)) == set(ids)
+        assert [len(f) for f in split] == [5000] * 5
+        assert set().union(*map(set, split)) == set(ids)
 
     def test_uneven_sizes_balanced(self):
         split = kfold_split([str(i) for i in range(10)], 3, seed=0)
-        assert sorted(len(f) for f in split.folds) == [3, 3, 4]
+        assert sorted(len(f) for f in split) == [3, 3, 4]
 
     def test_same_seed_same_split(self):
         ids = [f"x{i}" for i in range(100)]
-        assert kfold_split(ids, 4, 9).folds == kfold_split(ids, 4, 9).folds
+        assert kfold_split(ids, 4, 9) == kfold_split(ids, 4, 9)
 
     def test_row_order_does_not_matter(self):
         ids = [f"x{i}" for i in range(50)]
-        assert kfold_split(ids, 5, 2).folds == kfold_split(ids[::-1], 5, 2).folds
+        assert kfold_split(ids, 5, 2) == kfold_split(ids[::-1], 5, 2)
 
     def test_checked_ids_split_alike_into_checked_folds(self):
         _, matrix = generate(SyntheticSpec(k=1, target_acc=(0.8,), n=103, seed=4))
         split = kfold_split(matrix.ids, 4, 7)
         assert split == kfold_split(list(matrix.ids), 4, 7)
-        for fold in split.folds:  # restrict takes them without a check
+        for fold in split:  # restrict takes them without a check
             assert type(fold) is core.SampleIds
             assert matrix.restrict(fold).ids is fold
 
@@ -175,8 +176,8 @@ class TestCrossValidate:
         report = cross_validate(plan, train_m, train_u, test_m, test_u, FAST_NN)
         split = kfold_split(train_m.ids, 3, seed=6)
         fold, repeat = 1, 1
-        fold_m = train_m.restrict(split.folds[fold])
-        fold_u = train_u.restrict(split.folds[fold])
+        fold_m = train_m.restrict(split[fold])
+        fold_u = train_u.restrict(split[fold])
         cfg = TrainConfig(epochs=3, seed=derive_seed(6, fold, repeat))
         res = train(fold_m, fold_u, cfg)
         acc = accuracy(predict(res.weights, test_m), test_u)
@@ -227,7 +228,6 @@ class TestReportRendering:
         assert cells["percent"] == f"{report.mean * 100:.2f}"
 
     def test_mean_09387_renders_9387(self):
-        from predfuse import EvalReport, RunRecord
         rep = EvalReport(method="sum",
                          records=(RunRecord(0, 0, 0.9387),), mean=0.9387,
                          stdev=0.0)
@@ -240,24 +240,21 @@ class TestReportRendering:
         text = report_render(report, include_runs=False)
         assert len(text.strip().splitlines()) == 2
 
-    def test_round_trip_summary_and_records(self):
-        train_m, train_u, test_m, test_u = small_suite()
-        report = cross_validate(RunPlan(3, 2, 4), train_m, train_u, test_m,
-                                test_u, FAST_NN)
-        back = parse_report(report_render(report))
-        assert back.mean == report.mean
-        assert back.stdev == report.stdev
-        assert back.method == report.method
-        assert len(back.records) == len(report.records)
-        for a, b in zip(back.records, report.records):
-            assert (a.fold, a.repeat, a.accuracy, a.detail) == (
-                b.fold, b.repeat, b.accuracy, b.detail)
-            assert a.bound.W == b.bound.W
-            assert a.bound.lower == b.bound.lower
-            assert a.bound.upper == b.bound.upper or (
-                math.isinf(a.bound.upper) and math.isinf(b.bound.upper))
-            assert a.bound.contained == b.bound.contained
-
-    def test_parse_rejects_foreign_text(self):
-        with pytest.raises(ValidationError):
-            parse_report("hello\tworld\n")
+    def test_rendered_text_pinned(self):
+        # one run row with a bound, its upper end infinite, and one without
+        bound = BoundReport(W=1.25, lower=0.30000000000000004, upper=math.inf,
+                            norm_u=3.0, err_y=1.0, err_yhat=2.0,
+                            contained=True, degenerate=True)
+        report = EvalReport(method="nn", records=(
+            RunRecord(0, 1, 0.75, "seed=3;clipped=no", bound),
+            RunRecord(1, 0, 0.5, "rule=sum")),
+            mean=0.625, stdev=0.1767766952966369)
+        head = ("kind\tfold\trepeat\taccuracy\tmean\tstdev\tpercent\tW\t"
+                "lower\tupper\tcontained\tdetail\n"
+                "summary\t\t\t\t0.625\t0.1767766952966369\t62.50\t\t\t\t\t"
+                "method=nn\n")
+        assert report_render(report, include_runs=False) == head
+        assert report_render(report) == head + (
+            "run\t0\t1\t0.75\t\t\t\t1.25\t0.30000000000000004\tinf\tyes\t"
+            "seed=3;clipped=no\n"
+            "run\t1\t0\t0.5\t\t\t\t\t\t\t\trule=sum\n")

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from predfuse import (ConstraintError, HybridConfig, ValidationError, accuracy,
-                      confidence, default_theta_grid, harden, hybrid_predict,
-                      theta_sweep)
+                      default_theta_grid, harden, hybrid_predict, theta_sweep)
 
 from conftest import make_labels, make_matrix
 
@@ -11,11 +10,13 @@ from conftest import make_labels, make_matrix
 class TestConfidence:
     @pytest.mark.parametrize("p,want", [(0.5, 0.5), (0.95, 0.95), (0.1, 0.9)])
     def test_symmetric_distance_from_boundary(self, p, want):
-        assert confidence(p) == want
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            confidence(1.2)
+        # the base is kept exactly while its confidence, max(p, 1-p), is
+        # at least theta
+        m = make_matrix([[p, 0.5]], names=("B", "A"))
+        for theta in (np.nextafter(want, 0), want, np.nextafter(want, 1)):
+            if 0.5 < theta < 1:
+                pred = hybrid_predict(HybridConfig("B", ("A",), "sum", theta), m)
+                assert pred.fallback.tolist() == [theta > want]
 
 
 class TestHybridConfig:

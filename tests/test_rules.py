@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from predfuse import (ConstraintError, ValidationError, apply_rule,
-                      assign_class, average_rule, harden, majority_vote,
-                      max_rule, sum_rule)
+from predfuse import (RULE_KINDS, ConstraintError, ValidationError,
+                      apply_rule, harden)
 from predfuse.rules import rule_scores
 
 from conftest import make_matrix
@@ -26,38 +25,34 @@ def oracle(rule, p):
 
 class TestRuleExamples:
     def test_sum(self):
-        d = sum_rule([0.6, 0.3, 0.7])
-        assert d.label == 1
-        assert d.score == pytest.approx(1.6 / 3)
-        assert sum_rule([0.5, 0.5]).label == 1  # boundary
-        assert sum_rule([0.3]).label == assign_class(0.3, 0.5)
-        assert sum_rule([0.8]).label == assign_class(0.8, 0.5)
+        scores, labels = rule_scores("sum", np.array([[0.6, 0.3, 0.7]]))
+        assert labels.tolist() == [1]
+        assert scores[0] == pytest.approx(1.6 / 3)
+        assert rule_scores("sum", np.array([[0.5, 0.5]]))[1].tolist() == [1]  # boundary
+        _, labels = rule_scores("sum", np.array([[0.3], [0.8]]))
+        np.testing.assert_array_equal(labels, harden([0.3, 0.8], 0.5))
 
     def test_average(self):
-        assert average_rule([0.6, 0.3, 0.7]).label == 1
-        assert average_rule([0.2, 0.2]).label == 0
+        assert rule_scores("avg", np.array([[0.6, 0.3, 0.7]]))[1].tolist() == [1]
+        assert rule_scores("avg", np.array([[0.2, 0.2]]))[1].tolist() == [0]
 
     def test_max(self):
-        assert max_rule([0.9, 0.2]).label == 1   # 0.9 >= 0.8
-        assert max_rule([0.45, 0.45]).label == 0  # 0.45 < 0.55
-        assert max_rule([0.5]).label == 1         # boundary tie
+        _, labels = rule_scores("max", np.array([[0.9, 0.2], [0.45, 0.45]]))
+        assert labels.tolist() == [1, 0]  # 0.9 >= 0.8; 0.45 < 0.55
+        assert rule_scores("max", np.array([[0.5]]))[1].tolist() == [1]  # boundary tie
 
     def test_majority(self):
-        assert majority_vote([0.9, 0.4, 0.3]).label == 0  # votes 1,0,0
-        assert majority_vote([0.6, 0.7, 0.2]).label == 1  # votes 1,1,0
+        _, labels = rule_scores("maj", np.array([[0.9, 0.4, 0.3], [0.6, 0.7, 0.2]]))
+        assert labels.tolist() == [0, 1]  # votes 1,0,0; votes 1,1,0
 
     def test_even_panel_rejected(self):
         with pytest.raises(ConstraintError):
-            majority_vote([0.9, 0.4])
+            rule_scores("maj", np.array([[0.9, 0.4]]))
 
     def test_empty_vector_rejected(self):
-        for rule in (sum_rule, average_rule, max_rule, majority_vote):
+        for rule in RULE_KINDS:
             with pytest.raises(ValidationError):
-                rule([])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            sum_rule([0.5, 1.2])
+                rule_scores(rule, np.empty((1, 0)))
 
 
 class TestRuleProperties:
@@ -67,13 +62,11 @@ class TestRuleProperties:
             _, sum_labels = rule_scores("sum", p)
             _, avg_labels = rule_scores("avg", p)
             np.testing.assert_array_equal(sum_labels, avg_labels)
-            for row in p[:200]:
-                assert average_rule(row).label == sum_rule(row).label
 
     def test_max_equals_sum_for_two_models(self, rng):
         p = rng.uniform(0, 1, size=(10_000, 2))
-        for row in p[:500]:
-            assert max_rule(row).label == sum_rule(row).label
+        np.testing.assert_array_equal(rule_scores("max", p)[1],
+                                      rule_scores("sum", p)[1])
         # full draw, via the definitions directly
         assert (((p.max(axis=1) + p.min(axis=1)) >= 1.0) ==
                 (p.mean(axis=1) >= 0.5)).all()
@@ -81,35 +74,31 @@ class TestRuleProperties:
     def test_majority_equals_sum_on_hard_votes(self, rng):
         for k in (1, 3, 5, 7):
             p = rng.integers(0, 2, size=(300, k)).astype(float)
-            for row in p:
-                assert majority_vote(row).label == sum_rule(row).label
+            np.testing.assert_array_equal(rule_scores("maj", p)[1],
+                                          rule_scores("sum", p)[1])
 
     def test_permutation_invariance(self, rng):
-        for _ in range(100):
-            k = int(rng.choice([1, 3, 5]))
-            p = rng.uniform(0, 1, size=k)
+        for k in (1, 3, 5):
+            p = rng.uniform(0, 1, size=(100, k))
             perm = rng.permutation(k)
-            for rule in (sum_rule, average_rule, max_rule, majority_vote):
-                assert rule(p).label == rule(p[perm]).label
+            for rule in RULE_KINDS:
+                np.testing.assert_array_equal(rule_scores(rule, p)[1],
+                                              rule_scores(rule, p[:, perm])[1])
 
     def test_all_rules_match_oracle(self, rng):
-        for _ in range(2000):
-            k = int(rng.integers(1, 8))
-            p = rng.uniform(0, 1, size=k)
-            assert sum_rule(p).label == oracle("sum", p)
-            assert average_rule(p).label == oracle("avg", p)
-            assert max_rule(p).label == oracle("max", p)
-            if k % 2 == 1:
-                assert majority_vote(p).label == oracle("maj", p)
+        for k in range(1, 8):
+            p = rng.uniform(0, 1, size=(300, k))
+            for rule in RULE_KINDS if k % 2 == 1 else ("sum", "avg", "max"):
+                _, labels = rule_scores(rule, p)
+                assert labels.tolist() == [oracle(rule, row) for row in p]
 
     def test_score_hardens_to_label(self, rng):
-        for _ in range(500):
-            k = int(rng.choice([1, 3, 5, 7]))
-            p = rng.uniform(0, 1, size=k)
-            for rule in (sum_rule, average_rule, max_rule, majority_vote):
-                d = rule(p)
-                assert d.label == assign_class(d.score, 0.5)
-                assert 0.0 <= d.score <= 1.0
+        for k in (1, 3, 5, 7):
+            p = rng.uniform(0, 1, size=(125, k))
+            for rule in RULE_KINDS:
+                scores, labels = rule_scores(rule, p)
+                np.testing.assert_array_equal(labels, harden(scores, 0.5))
+                assert ((0.0 <= scores) & (scores <= 1.0)).all()
 
 
 class TestApplyRule:
