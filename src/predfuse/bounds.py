@@ -56,7 +56,7 @@ def weight_sum_bounds(weights: CombinerWeights, matrix: PredictionMatrix,
 
     When the upper fraction's denominator is not positive the interval has
     no finite upper end: ``upper`` is +inf, ``degenerate`` is set, and
-    containment only checks the lower bound.
+    containment checks the lower bound and that W is finite.
     """
     total = weight_sum(weights)
     if total <= 0.0:
@@ -75,7 +75,7 @@ def weight_sum_bounds(weights: CombinerWeights, matrix: PredictionMatrix,
     hi_den = norm_u - err_yhat
     degenerate = hi_den <= 0.0
     upper = math.inf if degenerate else (norm_u + err_y) / hi_den
-    contained = lower <= total if degenerate else lower <= total <= upper
+    contained = lower <= total < math.inf if degenerate else lower <= total <= upper
     return BoundReport(W=total, lower=lower, upper=upper, norm_u=norm_u,
                        err_y=err_y, err_yhat=err_yhat,
                        contained=bool(contained), degenerate=degenerate)

@@ -24,8 +24,7 @@ from .combiner import TrainConfig, TrainResult, predict, train_runs
 from .core import (LabelVector, PredictionMatrix, SampleIds, _as_ids, accuracy,
                    check_seed)
 from .errors import ValidationError
-from .hybrid import (HybridConfig, _check_models, _check_theta, hybrid_predict,
-                     theta_sweep)
+from .hybrid import _accuracy_at, _check_models, _check_theta, _table, theta_sweep
 from .rules import apply_rule, check_rule_kind
 
 __all__ = ["RunPlan", "RunRecord", "EvalReport",
@@ -65,9 +64,8 @@ def kfold_split(ids, n_folds: int, seed: int) -> tuple[SampleIds, ...]:
     _check_folds(len(ids), n_folds)
     check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(len(ids))
-    parts = np.array_split(np.asarray(ids, dtype=object)[order], n_folds)
-    return tuple(SampleIds(part) for part in parts)
+    parts = np.array_split(rng.permutation(len(ids)), n_folds)
+    return tuple(SampleIds(map(ids.__getitem__, part.tolist())) for part in parts)
 
 
 def _check_folds(n_ids: int, n_folds: int) -> None:
@@ -178,16 +176,13 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
     on, is attached to each record.
     """
     _check_shared_models(train_preds.model_names, test_preds.model_names)
-    if isinstance(method, RuleMethod):  # nothing is fitted: no folds drawn
-        _check_folds(len(train_preds.ids), plan.n_folds)
-    else:
-        split = kfold_split(train_preds.ids, plan.n_folds, plan.seed)
+    _check_folds(len(train_preds.ids), plan.n_folds)
     test_u = LabelVector(test_preds.ids, test_labels.align_to(test_preds.ids))
     records = []
     if isinstance(method, NNMethod):
         label = "nn"
         folds = [(train_preds.restrict(ids), train_labels.restrict(ids))
-                 for ids in split]
+                 for ids in kfold_split(train_preds.ids, plan.n_folds, plan.seed)]
         grid = [(f, r) for f in range(plan.n_folds)
                 for r in range(plan.repeats_per_fold)]
         results = train_runs(folds, [
@@ -196,25 +191,24 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
         test_m = test_preds.select(train_preds.model_names)
         for (f, r), result in zip(grid, results):
             records.append(_nn_run(f, r, result, *folds[f], test_m, test_u))
-    elif isinstance(method, RuleMethod):
+    elif isinstance(method, RuleMethod):  # nothing is fitted: no folds drawn
         label = method.rule
-        scores, _ = apply_rule(method.rule, test_preds)
-        acc = accuracy(scores, test_u)
+        acc = accuracy(apply_rule(method.rule, test_preds)[0], test_u)
         for f in range(plan.n_folds):
             records.append(RunRecord(fold=f, repeat=0, accuracy=acc,
                                      detail=f"rule={method.rule}"))
     elif isinstance(method, HybridMethod):
         label = f"hybrid-{method.rule}"
+        # an unknown model is left for the first fold's sweep to report
+        if {method.base, *method.aux} <= set(test_preds.model_names):
+            table = _table(method.base, method.aux, method.rule, test_preds, test_u)
+        split = kfold_split(train_preds.ids, plan.n_folds, plan.seed)
         for f, fold_ids in enumerate(split):
-            fold_m = train_preds.restrict(fold_ids)
-            fold_u = train_labels.restrict(fold_ids)
             sweep = theta_sweep(method.base, method.aux, method.rule,
-                                fold_m, fold_u, method.grid or None)
-            cfg = HybridConfig(method.base, method.aux, method.rule,
-                               sweep.best_theta)
-            acc = accuracy(hybrid_predict(cfg, test_preds).series, test_u)
+                                train_preds.restrict(fold_ids),
+                                train_labels.restrict(fold_ids), method.grid or None)
             records.append(RunRecord(
-                fold=f, repeat=0, accuracy=acc,
+                fold=f, repeat=0, accuracy=_accuracy_at(table, sweep.best_theta)[0],
                 detail=f"base={method.base};rule={method.rule};"
                        f"theta={sweep.best_theta}"))
     else:

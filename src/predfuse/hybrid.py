@@ -6,6 +6,9 @@ of auxiliary models.  Theta lives strictly between 0.5 (confidence's floor,
 so every sample would stay with the base) and 1.  A grid sweep picks theta
 on a tuning split by maximizing accuracy, breaking ties toward the smallest
 value so the base model is preferred when fallback buys nothing.
+
+On a labelled suite the hybrid's accuracy at every theta comes from one
+theta-independent table: base confidence, base label right, rule label right.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .core import (LabelVector, PredictionMatrix, ProbSeries, _of_checked,
                    harden)
 from .errors import ConstraintError, ValidationError
-from .rules import check_rule_kind, rule_scores
+from .rules import _rule_scores, check_rule_kind
 
 __all__ = ["HybridConfig", "HybridPrediction", "SweepResult", "hybrid_predict",
            "theta_sweep", "default_theta_grid"]
@@ -83,8 +86,22 @@ def _decision_arrays(cfg_base: str, cfg_aux, rule: str, matrix: PredictionMatrix
     base_p = matrix.column(cfg_base).values
     conf = np.maximum(base_p, 1.0 - base_p)
     base_lab = harden(base_p, 0.5)
-    aux_scores, aux_lab = rule_scores(rule, matrix.select(cfg_aux).values)
+    aux_scores, aux_lab = _rule_scores(rule, matrix.select(cfg_aux).values)
     return base_p, conf, base_lab, aux_scores, aux_lab
+
+
+def _table(base: str, aux, rule: str, matrix: PredictionMatrix, labels: LabelVector):
+    """(conf, base_ok, aux_ok): the theta-independent table of a suite."""
+    _, conf, base_lab, _, aux_lab = _decision_arrays(base, aux, rule, matrix)
+    u = labels.align_to(matrix.ids)
+    return conf, base_lab == u, aux_lab == u
+
+
+def _accuracy_at(table, theta: float) -> tuple[float, float]:
+    """Accuracy and fallback fraction of the hybrid at ``theta``."""
+    conf, base_ok, aux_ok = table
+    fallback = conf < theta
+    return float(np.where(fallback, aux_ok, base_ok).mean()), float(fallback.mean())
 
 
 def hybrid_predict(cfg: HybridConfig, matrix: PredictionMatrix) -> HybridPrediction:
@@ -125,24 +142,18 @@ def theta_sweep(base: str, aux, rule: str, matrix: PredictionMatrix,
                 labels: LabelVector, grid=None) -> SweepResult:
     """Evaluate the hybrid at each theta on (matrix, labels); pick the best.
 
-    Ties break toward the smallest theta.  The rule decisions over the
-    auxiliaries do not depend on theta, so they are computed once.
+    Ties break toward the smallest theta.  The suite's table is built once.
     """
-    if grid is None:
-        grid = default_theta_grid()
-    grid = [_check_theta(g) for g in grid]
+    grid = [_check_theta(g) for g in (default_theta_grid() if grid is None else grid)]
     if not grid:
         raise ValidationError("theta grid is empty")
     base, aux = _check_models(base, aux, rule)
-    _, conf, base_lab, _, aux_lab = _decision_arrays(base, aux, rule, matrix)
-    u = labels.align_to(matrix.ids)
+    table = _table(base, aux, rule, matrix, labels)
     rows = []
     best_theta, best_acc = None, -1.0
     for th in grid:
-        fallback = conf < th
-        lab = np.where(fallback, aux_lab, base_lab)
-        acc = float((lab == u).mean())
-        rows.append((th, acc, float(fallback.mean())))
+        acc, fb = _accuracy_at(table, th)
+        rows.append((th, acc, fb))
         if acc > best_acc or (acc == best_acc and best_theta is not None and th < best_theta):
             best_theta, best_acc = th, acc
     return SweepResult(best_theta=best_theta, best_accuracy=best_acc,

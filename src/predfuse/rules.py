@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PredictionMatrix, ProbSeries, _of_checked
+from .core import PredictionMatrix, ProbSeries, _of_checked, check_probs
 from .errors import ConstraintError, ValidationError
 
 RULE_KINDS = ("sum", "avg", "max", "maj")
@@ -41,8 +41,13 @@ def check_panel(rule: str, k: int) -> None:
         raise ConstraintError(f"majority vote needs an odd number of models, got {k}")
 
 
-def rule_scores(rule: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (scores, labels) for an (N, K) block of probabilities."""
+def rule_scores(rule: str, values) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (scores, labels) for an (N, K) block of probabilities in [0, 1]."""
+    return _rule_scores(rule, check_probs(values))
+
+
+def _rule_scores(rule: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rule_scores` of a block already known to hold probabilities."""
     check_rule_kind(rule)
     if values.ndim != 2 or values.shape[1] == 0:
         raise ValidationError("rule input must be a non-empty (N, K) block")
@@ -53,7 +58,7 @@ def rule_scores(rule: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         labels = (scores >= 0.5).astype(np.int64)
     elif rule == "max":
         hi1 = values.max(axis=1)
-        hi0 = (1.0 - values).max(axis=1)
+        hi0 = 1.0 - values.min(axis=1)
         scores = hi1 / (hi1 + hi0)
         labels = (hi1 >= hi0).astype(np.int64)
     else:  # maj
@@ -71,5 +76,5 @@ def apply_rule(rule: str, matrix: PredictionMatrix
     vector it hardens to.  The scores are probabilities by construction.
     To combine some of the models, pass ``matrix.select(names)``.
     """
-    scores, labels = rule_scores(rule, matrix.values)
+    scores, labels = _rule_scores(rule, matrix.values)
     return _of_checked(ProbSeries, matrix.ids, scores), labels

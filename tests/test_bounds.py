@@ -134,6 +134,16 @@ class TestWeightSumBounds:
         with pytest.raises(DegenerateWeightsError):
             weight_sum_bounds(weights_of([0.0, 0.0]), m, labels)
 
+    def test_infinite_weight_sum_never_contained(self):
+        # the weighted sums stay finite, so only W overflows; the degenerate
+        # interval's upper end is inf too, which must not contain W = inf
+        m = make_matrix([[0.1, 0.3], [0.2, 0.0], [0.3, 0.25]])
+        with np.errstate(over="ignore"):
+            rep = weight_sum_bounds(weights_of([1e308, 1e308]), m,
+                                    make_labels([0, 1, 0]))
+        assert (rep.W, rep.upper, rep.degenerate) == (math.inf, math.inf, True)
+        assert rep.lower < 0 and not rep.contained
+
     def test_trained_single_model_combiners_contained(self):
         # structural expectation for decent single inputs: W inside interval
         for seed in range(5):

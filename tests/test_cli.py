@@ -529,6 +529,9 @@ class TestDivergence:
         }[command]
         proc = self.cli(*argv)
         assert (proc.returncode, proc.stderr) == (code, stderr)
+        if proc.returncode == 0:  # an infinite weight sum lies in no interval
+            row = dict(zip(*(line.split("\t") for line in proc.stdout.splitlines())))
+            assert (row["W"], row["contained"]) == ("inf", "no")
 
 
 class TestCheckBound:

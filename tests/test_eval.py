@@ -3,11 +3,12 @@ import math
 import pytest
 
 from predfuse import (AlignmentError, BoundReport, ConstraintError,
-                      EvalReport, HybridMethod, LabelVector, NNMethod,
+                      EvalReport, HybridConfig, HybridMethod, LabelVector, NNMethod,
                       RuleMethod, RunPlan, RunRecord, TrainConfig,
                       ValidationError, accuracy, core, cross_validate,
-                      derive_seed, evaluate, kfold_split, mean_stdev, predict,
-                      report_render, train)
+                      derive_seed, evaluate, hybrid, hybrid_predict,
+                      kfold_split, mean_stdev, predict, report_render,
+                      theta_sweep, train)
 from predfuse.synth import SyntheticSpec, generate
 
 FAST_NN = NNMethod(config=TrainConfig(epochs=3, seed=0))
@@ -157,6 +158,36 @@ class TestCrossValidate:
         got = cross_validate(plan, train_m, train_u, test_m, shuffled, method)
         assert got == want
         assert lookups.count("labels are missing sample id") == 1
+
+    @pytest.mark.parametrize("base, aux, rule", [
+        ("M3", ("M1", "M2"), "sum"), ("M3", ("M1", "M2"), "avg"),
+        ("M3", ("M1", "M2"), "max"), ("M1", ("M2",), "maj")],
+        ids=["sum", "avg", "max", "maj"])
+    def test_hybrid_builds_the_test_table_once(self, monkeypatch, base, aux, rule):
+        """The test suite's decisions do not depend on theta: cv builds them
+        once, never per fold, and scores each tuned theta as
+        ``hybrid_predict`` would."""
+        train_m, train_u, test_m, test_u = small_suite(n_train=200)
+        plan = RunPlan(n_folds=5, repeats_per_fold=1, seed=3)
+        want = []
+        for fold_ids in kfold_split(train_m.ids, 5, 3):
+            theta = theta_sweep(base, aux, rule, train_m.restrict(fold_ids),
+                                train_u.restrict(fold_ids)).best_theta
+            cfg = HybridConfig(base, aux, rule, theta)
+            want.append((accuracy(hybrid_predict(cfg, test_m).series, test_u),
+                         f"base={base};rule={rule};theta={theta}"))
+        built, predicted = [], []
+        arrays = hybrid._decision_arrays
+        monkeypatch.setattr(hybrid, "_decision_arrays", lambda b, a, r, m: (
+            built.append(m) or arrays(b, a, r, m)))
+        for module in (hybrid, evaluate):
+            monkeypatch.setattr(module, "hybrid_predict", lambda *args: (
+                predicted.append(args) or hybrid_predict(*args)), raising=False)
+        report = cross_validate(plan, train_m, train_u, test_m, test_u,
+                                HybridMethod(base, aux, rule))
+        assert [m is test_m for m in built].count(True) == 1
+        assert len(built) == 6 and predicted == []
+        assert [(r.accuracy, r.detail) for r in report.records] == want
 
     @pytest.mark.parametrize("kwargs, error", [
         ({"aux": ("M3", "M2")}, ValidationError),

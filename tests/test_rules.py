@@ -49,6 +49,15 @@ class TestRuleExamples:
         with pytest.raises(ConstraintError):
             rule_scores("maj", np.array([[0.9, 0.4]]))
 
+    @pytest.mark.parametrize("rule, block, message", [
+        ("max", [[1.5, -0.2]], "probability 1.5 outside [0, 1]"),
+        ("sum", [[np.nan, 0.9]], "probability nan outside [0, 1]"),
+    ], ids=["max-out-of-range", "sum-nan"])
+    def test_non_probabilities_rejected(self, rule, block, message):
+        with pytest.raises(ValidationError) as err:
+            rule_scores(rule, np.array(block))
+        assert str(err.value) == message
+
     def test_empty_vector_rejected(self):
         for rule in RULE_KINDS:
             with pytest.raises(ValidationError):
@@ -91,6 +100,18 @@ class TestRuleProperties:
             for rule in RULE_KINDS if k % 2 == 1 else ("sum", "avg", "max"):
                 _, labels = rule_scores(rule, p)
                 assert labels.tolist() == [oracle(rule, row) for row in p]
+
+    def test_max_score_bits(self, rng):
+        # hi1 / (hi1 + hi0), with hi0 the largest class-0 posterior 1 - p_i
+        edge = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.5],
+                         [0.5, 0.5, 0.5], [0.3, 0.7, 0.7], [5e-324, 0.0, 5e-324],
+                         [1 - 2**-53, 1.0, 0.5], [5e-324, 1 - 2**-53, 0.25]])
+        blocks = [edge, edge[:, :1], edge[:, :2]]
+        blocks += [rng.uniform(0, 1, size=(500, k)) for k in range(1, 8)]
+        for p in blocks:
+            hi1 = p.max(axis=1)
+            want = hi1 / (hi1 + (1 - p).max(axis=1))
+            assert rule_scores("max", p)[0].tobytes() == want.tobytes()
 
     def test_score_hardens_to_label(self, rng):
         for k in (1, 3, 5, 7):
