@@ -6,11 +6,12 @@ uses 17 significant digits.  Every write goes to a temporary file in the
 target directory and is renamed into place, so failed runs never leave a
 partial output behind.
 
-A plain prediction or label CSV (no quotes, ``\\r`` or NUL, one comma on
-every line) is parsed in one pass over its bytes.  Every file that pass
-declines is read again by the ``csv`` row scanner, which decides it, so
-every error, with its ``file:line``, is the scanner's.  Either way the ids
-and values come back checked, and the loaders check neither again.
+Every prediction or label CSV is read by one function, ``_read_csv``.  A
+plain file (no quotes, ``\\r`` or NUL, one comma on every line) is parsed
+in one pass over its bytes.  A file that pass declines is read once by the
+``csv`` row scanner, which decides it, so every error, with its
+``file:line``, is the scanner's.  Either way the ids and values come back
+checked, and the loaders check neither again.
 
 A suite (``load_matrix``, ``load_suite``), named by its files' stems, has
 one id index: a ``{id: row}`` dict over its first prediction file's ids,
@@ -18,9 +19,9 @@ built once that file is read, which is also those ids' duplicate check.
 Each later prediction file, and the label file, is placed into it chunk by
 chunk as it is read, so it holds no ids, set or dict of its own, and the
 join writes each file's values into one (N, K) array.  A file the placing
-pass declines (not plain, or not exactly the first file's ids) is read
-again as a file of its own, and the join or the caller's alignment decides
-it as for a file read alone.
+pass declines (not plain, or not exactly the first file's ids) is read by
+the row scanner, and the join or the caller's alignment decides it as for a
+file read alone.
 """
 
 from __future__ import annotations
@@ -70,9 +71,11 @@ def _atomic_write(writes) -> None:
     tmps = []
     try:
         for path, write in writes:
-            path = Path(path)
-            fd, tmp = tempfile.mkstemp(dir=path.parent or ".",
-                                       prefix=path.name + ".")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=Path(path).parent,
+                                           prefix=Path(path).name + ".")
+            except OSError as exc:  # named as the target, not the temp file
+                raise type(exc)(exc.errno, exc.strerror, str(path)) from None
             tmps.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 write(fh)
@@ -96,53 +99,33 @@ def _atomic_write(writes) -> None:
 _CHUNK_BYTES = 1 << 14
 
 
-def _read_csv(path, column: str, suite=None) -> tuple[SampleIds, np.ndarray]:
-    """Checked ids and parsed values of an ``id,<column>`` CSV.
+def _read_csv(path, column: str, suite=None):
+    """Checked ids and values of an ``id,<column>`` CSV, and the ``{id: row}``
+    index over those ids, or None.
 
-    :func:`_parse_plain` reads a plain file in one pass; a file it declines
-    is read again from the start by the row scanner (:func:`_scan`), which
-    decides it, so every error is the scanner's.
-
-    ``suite``, the ids of a suite's first file and the ``{id: row}`` index
-    over them (:func:`_read_first`), has the file placed into those rows
-    as it is read (:func:`_place`), so it comes back keyed by the suite's
-    ids.  A file the placing pass declines is read as a file of its own,
-    and placed whole if it holds exactly the suite's ids; otherwise it
-    keeps its own ids, and the caller's alignment reports what differs.
+    One plain pass (:func:`_plain_chunks`) either collects the rows
+    (:func:`_plain_rows`) or, given ``suite``, the ids of a suite's first
+    file and the index over them, places each chunk into those rows
+    (:func:`_place`).  A file the pass declines is read once by the row
+    scanner (:func:`_scan_rows`), which decides it, so every error is the
+    scanner's; in a suite, it is placed whole if it holds exactly the
+    suite's ids, and otherwise keeps its own ids, with no index, for the
+    caller's alignment to report what differs.
     """
     dtype = _COLUMNS[column][3]
     with _source(path) as src:
-        if suite is not None:
-            placed = _place(_plain_chunks(src, column), *suite, dtype)
-            if placed is not None:
-                return placed
-            src.seek(0)
-        parsed = _parse_plain(src, column) or _scan(src, path, column)
+        read = (_plain_rows(src, column) if suite is None
+                else _place(_plain_chunks(src, column), *suite, dtype))
+        if read is not None:
+            return read
+        src.seek(0)
+        ids, values = _scan_rows(src, path, column)
+    ids, values = SampleIds(ids), np.asarray(values, dtype=dtype)
+    if suite is None:
+        return ids, values, _index_of(ids)
     # Only a file as long as the suite's first can hold exactly its ids.
-    if suite is not None and len(parsed[0]) == len(suite[0]):
-        return _place([parsed], *suite, dtype) or parsed
-    return parsed
-
-
-def _read_first(path) -> tuple[SampleIds, np.ndarray, dict[str, int]]:
-    """Checked ids and values of a suite's first ``id,prob`` CSV, and the
-    ``{id: row}`` index over its ids that later files are placed into.
-
-    The index is also the ids' duplicate check, so no set of them is
-    built; a file :func:`_plain_rows` declines, or one that repeats an id,
-    is decided by the row scanner, as in :func:`_read_csv`.
-    """
-    with _source(path) as src:
-        parsed = _plain_rows(src, "prob")
-        if parsed is not None:
-            ids, values = parsed
-            del parsed
-            ids = SampleIds(ids)  # the id list is freed before the index is built
-            index = _index_of(ids)
-            if len(index) == len(ids):
-                return ids, values, index
-        ids, values = _scan(src, path, "prob")
-    return ids, values, _index_of(ids)
+    placed = len(ids) == len(suite[0]) and _place([(ids, values)], *suite, dtype)
+    return placed or (ids, values, None)
 
 
 @contextmanager
@@ -153,18 +136,9 @@ def _source(path):
         yield fh if fh.seekable() else io.BytesIO(fh.read())
 
 
-def _parse_plain(fh, column: str):
-    """Ids and values of a plain ``id,<column>`` CSV read from binary
-    ``fh`` (:func:`_plain_rows`), or None, also when an id repeats."""
-    rows = _plain_rows(fh, column)
-    if rows is None or len(set(rows[0])) != len(rows[0]):
-        return None
-    return SampleIds(rows[0]), rows[1]
-
-
 def _plain_rows(fh, column: str):
-    """Ids, as a list that may repeat one, and values of a plain
-    ``id,<column>`` CSV read from binary ``fh``, or None.
+    """Checked ids, values and ``{id: row}`` index of a plain ``id,<column>``
+    CSV read from binary ``fh``, or None, also when an id repeats.
 
     A plain file holds no ``"``, ``\\r`` or NUL (Python 3.10's ``csv``
     rejects NUL, 3.11 reads it), and after an optional BOM and one final
@@ -181,13 +155,16 @@ def _plain_rows(fh, column: str):
         values.append(chunk[1])
     if not ids:
         return None
-    return ids, np.concatenate(values)
+    values = np.concatenate(values)
+    ids = SampleIds(ids)  # the id list is freed before the index is built
+    index = _index_of(ids)
+    return (ids, values, index) if len(index) == len(ids) else None
 
 
 def _place(chunks, ids: SampleIds, rows: dict[str, int], dtype):
-    """``ids`` and the values of ``chunks``, ``(ids, values)`` pairs, placed
-    at the rows that ``rows``, the index over ``ids``, gives their ids; None
-    after a None chunk, or unless the chunks hold each of ``ids`` once."""
+    """``(ids, values, rows)``: the values of ``chunks``, ``(ids, values)``
+    pairs, placed at the rows that ``rows``, the index over ``ids``, gives
+    their ids; None after a None chunk, or unless they hold each id once."""
     n = len(ids)
     values, hit, count = np.empty(n, dtype=dtype), np.zeros(n, dtype=bool), 0
     for chunk in chunks:
@@ -205,7 +182,7 @@ def _place(chunks, ids: SampleIds, rows: dict[str, int], dtype):
         count += k
     if count != n or not hit.all():
         return None  # an id missing or repeated
-    return ids, values
+    return ids, values, rows
 
 
 def _plain_chunks(fh, column: str):
@@ -245,14 +222,6 @@ def _plain_chunk(block: bytes, parse_all, limit: int):
         return None
     part = parse_all(fields[1::2])
     return None if part is None else (fields[0::2], part)
-
-
-def _scan(src, path, column: str) -> tuple[SampleIds, np.ndarray]:
-    """The row scanner's checked ids and values of ``src``, read again
-    from the start."""
-    src.seek(0)
-    ids, values = _scan_rows(src, path, column)
-    return SampleIds(ids), np.asarray(values, dtype=_COLUMNS[column][3])
 
 
 def _scan_rows(fh, path, column: str) -> tuple[list[str], list]:
@@ -370,7 +339,7 @@ def _label_csv(path, labels: LabelVector):
 
 def load_prediction_file(path) -> ProbSeries:
     """Read an ``id,prob`` CSV; errors name the file, line, and value."""
-    return _of_checked(ProbSeries, *_read_csv(path, "prob"))
+    return _of_checked(ProbSeries, *_read_csv(path, "prob")[:2])
 
 
 def save_prediction_file(path, series: ProbSeries) -> None:
@@ -379,7 +348,7 @@ def save_prediction_file(path, series: ProbSeries) -> None:
 
 def load_label_file(path) -> LabelVector:
     """Read an ``id,label`` CSV with labels in {0, 1}."""
-    return _of_checked(LabelVector, *_read_csv(path, "label"))
+    return _of_checked(LabelVector, *_read_csv(path, "label")[:2])
 
 
 def save_label_file(path, labels: LabelVector) -> None:
@@ -422,18 +391,14 @@ def _load_suite(paths, labels=None):
     paths = [Path(p) for p in paths]
     if not paths:
         raise ValidationError("no prediction files given")
-    # One file and no labels: nothing is placed, so nothing is indexed.
-    if len(paths) == 1 and labels is None:
-        (ids, values), suite = _read_csv(paths[0], "prob"), None
-    else:
-        ids, values, index = _read_first(paths[0])
-        suite = ids, index
+    ids, values, index = _read_csv(paths[0], "prob")
+    suite = ids, index
     series = _suite_series(_of_checked(ProbSeries, ids, values), paths[1:], suite)
     del values  # the join alone holds them, and frees them once copied
     matrix = PredictionMatrix.from_columns(model_names(paths), series)
     if labels is None:
         return matrix
-    return matrix, _of_checked(LabelVector, *_read_csv(labels, "label", suite))
+    return matrix, _of_checked(LabelVector, *_read_csv(labels, "label", suite)[:2])
 
 
 def _suite_series(first: ProbSeries, paths, suite):
@@ -443,7 +408,7 @@ def _suite_series(first: ProbSeries, paths, suite):
     yield first
     del first
     for path in paths:
-        yield _of_checked(ProbSeries, *_read_csv(path, "prob", suite))
+        yield _of_checked(ProbSeries, *_read_csv(path, "prob", suite)[:2])
 
 
 def save_matrix_files(out_dir, matrix: PredictionMatrix,

@@ -61,6 +61,9 @@ def _rule_scores(rule: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         hi0 = 1.0 - values.min(axis=1)
         scores = hi1 / (hi1 + hi0)
         labels = (hi1 >= hi0).astype(np.int64)
+        # Where hi1 < hi0 the sum can round to 2 * hi1 and the score to 0.5;
+        # the largest double below 0.5 keeps it on the label's side.
+        scores[(scores == 0.5) & (labels == 0)] = np.nextafter(0.5, 0.0)
     else:  # maj
         votes = (values >= 0.5).sum(axis=1)
         scores = votes / k

@@ -119,6 +119,16 @@ class TestTrainAndCombine:
                      "--preds", *suite["test_preds"], "--out", str(out)]) == 0
         assert read(out).startswith("id,prob\n")
 
+    def test_max_rounding_tie_is_written_below_half(self, tmp_path):
+        # hi1 + hi0 rounds to 1.5 and the score to 0.5, yet the label is 0
+        (tmp_path / "M1.csv").write_text("id,prob\na,0.75\n", encoding="utf-8")
+        (tmp_path / "M2.csv").write_text(f"id,prob\na,{0.25 - 2**-53!r}\n",
+                                         encoding="utf-8")
+        out = tmp_path / "max.csv"
+        assert main(["combine", "--method", "max", "--preds", str(tmp_path / "M1.csv"),
+                     str(tmp_path / "M2.csv"), "--out", str(out)]) == 0
+        assert load_prediction_file(out).values.tolist() == [0.49999999999999994]
+
     def test_hybrid_combine(self, suite, tmp_path):
         out = tmp_path / "hyb.csv"
         assert main(["combine", "--method", "hybrid", "--hybrid-base", "M3",
@@ -215,6 +225,24 @@ class TestExitCodes:
                      "--labels", str(tmp_path / "nope2.csv")])
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, target", [("combine", "nodir/o.csv"),
+                                                 ("eval", "afile/e.tsv")])
+    def test_output_io_error_names_the_target(self, suite, tmp_path, capsys,
+                                              command, target):
+        """Not the temporary file beside it, whose name changes every run."""
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        flags = (["--method", "sum"] if command == "combine"
+                 else ["--labels", suite["test_labels"]])
+        argv = [command, *flags, "--preds", *suite["test_preds"],
+                "--out", str(tmp_path / target)]
+        errs = []
+        for _ in range(2):
+            assert main(argv) == 4
+            errs.append(capsys.readouterr().err)
+        reason = ("[Errno 2] No such file or directory" if target.startswith("nodir")
+                  else "[Errno 20] Not a directory")
+        assert errs == [f"predfuse: i/o error: {reason}: '{tmp_path / target}'\n"] * 2
 
     def test_failed_run_leaves_no_partial_output(self, suite, tmp_path):
         out = tmp_path / "x.csv"

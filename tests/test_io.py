@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import stat
 import sys
 from pathlib import Path
@@ -190,9 +191,11 @@ def _scanned(data, column):
 
 
 def _agree(fast, scanned):
-    """The one-pass result is the scanner's: same ids, same value bits."""
+    """The one-pass result is the scanner's: same ids, same value bits, and
+    the index over those ids."""
     assert scanned is not None
-    ids, values = fast
+    ids, values, index = fast
+    assert index == {sid: row for row, sid in enumerate(ids)}
     ref = np.asarray(scanned[1])
     assert list(ids) == scanned[0]
     assert values.dtype == ref.dtype and values.tobytes() == ref.tobytes()
@@ -205,7 +208,7 @@ class TestOnePassParse:
     def test_never_accepts_what_the_scanner_rejects(self, column, data, chunk):
         raw = data.draw(_csv_bytes(column))
         with mock.patch.object(io_files, "_CHUNK_BYTES", chunk):  # chunk edges too
-            fast = io_files._parse_plain(io.BytesIO(raw), column)
+            fast = io_files._plain_rows(io.BytesIO(raw), column)
         if fast is not None:
             _agree(fast, _scanned(raw, column))
 
@@ -219,7 +222,7 @@ class TestOnePassParse:
     ])
     def test_plain_files_take_the_one_pass_path(self, text):
         raw = text.encode("utf-8")
-        fast = io_files._parse_plain(io.BytesIO(raw), "prob")
+        fast = io_files._plain_rows(io.BytesIO(raw), "prob")
         assert fast is not None
         _agree(fast, _scanned(raw, "prob"))
 
@@ -239,12 +242,12 @@ class TestOnePassParse:
         "id,prob\na,1.5\n",
     ])
     def test_other_files_go_to_the_scanner(self, text):
-        assert io_files._parse_plain(io.BytesIO(text.encode()), "prob") is None
+        assert io_files._plain_rows(io.BytesIO(text.encode()), "prob") is None
 
     @pytest.mark.parametrize("label", ["2", " 1", "1.0", "01", "+1", "\u0661", ""])
     def test_other_labels_go_to_the_scanner(self, label):
         raw = f"id,label\na,0\nb,{label}\n".encode()
-        assert io_files._parse_plain(io.BytesIO(raw), "label") is None
+        assert io_files._plain_rows(io.BytesIO(raw), "label") is None
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("text, ids", [("id,prob\na,0.5\n", ("a",)),
@@ -260,7 +263,7 @@ class TestOnePassParse:
 
     def test_labels_take_the_one_pass_path(self):
         raw = b"id,label\nb,1\na,0\n"
-        fast = io_files._parse_plain(io.BytesIO(raw), "label")
+        fast = io_files._plain_rows(io.BytesIO(raw), "label")
         assert fast is not None and fast[1].dtype == np.int64
         _agree(fast, _scanned(raw, "label"))
 
@@ -553,6 +556,63 @@ class TestLoadSuite:
         assert u.ids is m.ids and m.ids == ("a", "b")
         assert u.values.tolist() == [0, 1]
         assert m.values.tolist() == [[0.1, 0.2], [0.9, 0.8]]
+
+
+class TestPassesPerFile:
+    """Each file of a suite gets one plain pass; a file that pass declines
+    gets one row-scanner pass more, and no second plain pass."""
+
+    IDS = [f"s{i:03d}" for i in range(200)]
+
+    @staticmethod
+    def passes(paths, labels):
+        """The load's outcome and the ``(file name, pass)`` calls it made."""
+        calls = []
+        plain, scan = io_files._plain_chunks, io_files._scan_rows
+
+        def counted_plain(fh, column):
+            calls.append((os.path.basename(fh.name), "plain"))
+            return plain(fh, column)
+
+        def counted_scan(fh, path, column):
+            calls.append((os.path.basename(path), "scan"))
+            return scan(fh, path, column)
+
+        with mock.patch.object(io_files, "_plain_chunks", counted_plain), \
+                mock.patch.object(io_files, "_scan_rows", counted_scan):
+            outcome = _outcome(lambda: io_files.load_suite(paths, labels))
+        return outcome, calls
+
+    @pytest.mark.parametrize("case", ["plain", "missing", "crlf", "quoted last"])
+    def test_one_plain_pass_then_at_most_one_scan(self, tmp_path, case):
+        """A shuffled plain suite, with one later file edited; each load's
+        outcome is the reference's (:meth:`TestLoadSuite.agree`)."""
+        orders = [self.IDS] + [random.Random(j).sample(self.IDS, len(self.IDS))
+                               for j in (1, 2, 3)]
+        files = [_suite_bytes(ids, ["0.25"] * len(ids), "prob") for ids in orders[:3]]
+        files.append(_suite_bytes(orders[3], ["1"] * len(self.IDS), "label"))
+        ids, cells, chunk = orders[2], ["0.25"] * len(self.IDS), io_files._CHUNK_BYTES
+        if case == "missing":
+            files[2] = _suite_bytes(ids[1:], cells[1:], "prob")
+        elif case == "crlf":
+            files[2] = _suite_bytes(ids, cells, "prob", end="\r\n")
+        elif case == "quoted last":  # the one quoted id in the last of many chunks
+            files[2] = _suite_bytes(ids, cells, "prob",
+                                    quote=lambda s: _quoted(s) if s == ids[-1] else s)
+            chunk = 64
+        outcome = TestLoadSuite.agree(tmp_path, files, [False] * 4, chunk)
+        paths = [tmp_path / f"f{j}.csv" for j in range(4)]
+        with mock.patch.object(io_files, "_CHUNK_BYTES", chunk):
+            got, calls = self.passes(paths[:-1], paths[-1])
+        joined = isinstance(outcome[0], PredictionMatrix)
+        if joined:
+            assert got[0].ids == outcome[0].ids
+            assert _bits(got[0].values) == _bits(outcome[0].values)
+        else:  # the join error, raised before the label file is read
+            assert got == outcome
+        assert calls == ([(f"f{j}.csv", "plain") for j in range(3)]
+                         + ([] if case == "plain" else [("f2.csv", "scan")])
+                         + ([("f3.csv", "plain")] if joined else []))
 
 
 class TestWeightsJson:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from predfuse import (RULE_KINDS, ConstraintError, ValidationError,
                       apply_rule, harden)
@@ -40,6 +42,13 @@ class TestRuleExamples:
         _, labels = rule_scores("max", np.array([[0.9, 0.2], [0.45, 0.45]]))
         assert labels.tolist() == [1, 0]  # 0.9 >= 0.8; 0.45 < 0.55
         assert rule_scores("max", np.array([[0.5]]))[1].tolist() == [1]  # boundary tie
+
+    @pytest.mark.parametrize("row", [[0.75, 0.25 - 2**-53], [0.25 - 2**-53, 0.75]])
+    def test_max_rounding_tie_scores_below_half(self, row):
+        # hi0 = 0.75 + 2**-53 > hi1 = 0.75, but hi1 + hi0 rounds to 1.5
+        scores, labels = rule_scores("max", np.array([row]))
+        assert labels.tolist() == [0]
+        assert scores.tolist() == [np.nextafter(0.5, 0.0)]
 
     def test_majority(self):
         _, labels = rule_scores("maj", np.array([[0.9, 0.4, 0.3], [0.6, 0.7, 0.2]]))
@@ -120,6 +129,28 @@ class TestRuleProperties:
                 scores, labels = rule_scores(rule, p)
                 np.testing.assert_array_equal(labels, harden(scores, 0.5))
                 assert ((0.0 <= scores) & (scores <= 1.0)).all()
+
+    @settings(deadline=None)
+    @given(a=st.floats(0.0, 1.0), k=st.integers(-8, 8), j=st.integers(-8, 8),
+           flip=st.booleans())
+    @example(a=0.75, k=-4, j=0, flip=False)
+    def test_near_ties_harden_to_their_labels(self, a, k, j, flip):
+        """Rows ``[a, 1 - a]`` and ``[a, 1 - a, 0.5]``, each of the last
+        two moved ``k`` and ``j`` doubles, where the rounding of each
+        rule's score decides which side of 0.5 it lands on."""
+        b, c = _moved(1.0 - a, k), _moved(0.5, j)
+        pair = [b, a] if flip else [a, b]
+        for rule, row in ([(rule, pair) for rule in ("sum", "avg", "max")]
+                          + [(rule, pair + [c]) for rule in RULE_KINDS]):
+            scores, labels = rule_scores(rule, np.array([row]))
+            assert labels.tolist() == (scores >= 0.5).astype(int).tolist(), (rule, row)
+
+
+def _moved(x: float, k: int) -> float:
+    """``x`` moved ``k`` doubles up (``k > 0``) or down, kept in [0, 1]."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, 1.0 if k > 0 else 0.0)
+    return float(x)
 
 
 class TestApplyRule:
