@@ -1,8 +1,9 @@
 """Command-line surface binding the library together.
 
 Subcommands: synth, train-nn, combine, eval, sweep-theta, check-bound, cv.
-Exit codes: 0 success, 2 input validation error, 3 constraint violation
-(even-K majority vote, theta out of range, negative weight), 4 I/O error.
+Exit codes: 0 success, 2 input validation error or out of memory, 3
+constraint violation (even-K majority vote, theta out of range, negative
+weight), 4 I/O error.
 Every command checks its flags before it reads any file.  Outputs go to
 --out when given, else stdout; file writes are atomic and all commands are
 deterministic given identical flags and seeds.
@@ -37,11 +38,15 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+_GRID_MAX_VALUES = 1_000_000  # the default grid has 49
+
+
 def _grid(text: str) -> list[float]:
     """Parse lo:hi:step into lo, lo+step, ... up to hi, never past it.
 
     hi is kept when it lies on the grid, even where (hi - lo) / step falls
-    just short of a whole number in floating point (0.55:0.95:0.1).
+    just short of a whole number in floating point (0.55:0.95:0.1).  A grid
+    of more than ``_GRID_MAX_VALUES`` values is refused before it is built.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -52,7 +57,11 @@ def _grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid must be numeric, got {text!r}")
     if not (-math.inf < lo <= hi < math.inf and 0.0 < step < math.inf):
         raise argparse.ArgumentTypeError("grid needs finite values, step > 0 and hi >= lo")
-    count = int((hi - lo) / step + 1e-9) + 1
+    span = (hi - lo) / step + 1e-9  # inf when the step is tiny
+    if not span < _GRID_MAX_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"grid has more than {_GRID_MAX_VALUES} values: {text!r}")
+    count = int(span) + 1
     return [min(round(lo + i * step, 10), hi) for i in range(count)]
 
 
@@ -271,6 +280,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"predfuse: i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # numpy's names the allocation; Python's own carries no text
+        print("predfuse: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -25,9 +25,9 @@ per epoch or step: each run shuffles its own row of positions in place,
 each minibatch is gathered into a buffer made once per batch shape (the
 text model's one-byte 0/1 matrix into one of its own dtype, then widened
 by one copy), the parameters and ADAM's moments update in place, the
-projection onto the weight floor runs without a branch, and finiteness is
-checked with one reduction per step, on the -|z| the sigmoid kernel
-computes anyway.
+projection onto the weight floor runs without a branch, and the sigmoid
+kernel checks finiteness itself, with one reduction per step on the -|z|
+it computes anyway.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (_SIGMOID_NOT_FINITE, LabelVector, PredictionMatrix,
-                   ProbSeries, _of_checked, _sigmoid, _SigmoidBuffers,
-                   check_seed, check_threshold, sigmoid)
+from .core import (LabelVector, PredictionMatrix, ProbSeries, _of_checked,
+                   _sigmoid, _SigmoidBuffers, check_seed, check_threshold,
+                   sigmoid)
 from .errors import ConstraintError, ValidationError
 from .optim import Adam
 
@@ -150,27 +150,22 @@ def gradient(weights: CombinerWeights, matrix: PredictionMatrix,
              labels: LabelVector, l2: float = TrainConfig.l2) -> np.ndarray:
     """Analytic gradient of :func:`loss`, length K+1: d/dw_1..K then d/db."""
     x, u = _training_arrays(matrix.select(weights.model_names), labels)
-    return _gradient(weights.w[None, :, None], np.array([[weights.b]]), x[None],
-                     u[None], float(l2))[0]
+    return _gradient(weights.w[None, :, None], np.array([[weights.b]]), u[None],
+                     float(l2), _StepBuffers(x[None]))[0]
 
 
-def _gradient(w: np.ndarray, b: np.ndarray, x: np.ndarray, u: np.ndarray,
-              l2: float, out: "_StepBuffers | None" = None) -> np.ndarray:
+def _gradient(w: np.ndarray, b: np.ndarray, u: np.ndarray, l2: float,
+              buf: _StepBuffers) -> np.ndarray:
     """Gradient of :func:`loss` for R runs at once: weight columns (R, K, 1),
-    shifts (R, 1), minibatches x (R, B, K) and u (R, B); returns (R, K+1).
+    shifts (R, 1), the minibatches ``buf.x`` (R, B, K) and u (R, B); returns
+    (R, K+1), one of the buffers.
 
     Batched ``@`` makes the same BLAS matrix-vector call per run that a lone
     run makes, so each run keeps its bits; ``einsum`` sums in another order.
-    ``out`` holds the buffers of a training loop, built for this ``x``, and
-    the result is one of them; without it they are allocated.  A non-finite
-    sigmoid input raises.
+    A non-finite sigmoid input raises.
     """
-    buf = _StepBuffers(x) if out is None else out
-    np.matmul(x, w, out=buf.z3)
+    np.matmul(buf.x, w, out=buf.z3)
     resid = _sigmoid(np.subtract(buf.z, b, out=buf.z), buf.sig)
-    # -|z| is NaN or -inf exactly where z is not finite
-    if not np.minimum.reduce(buf.sig.neg_abs, axis=None) > -np.inf:
-        raise ValidationError(_SIGMOID_NOT_FINITE)
     np.subtract(resid, u, out=resid)
     np.matmul(buf.xt, buf.resid3, out=buf.gw)
     np.add.reduce(resid, axis=1, out=buf.gb)
@@ -300,7 +295,7 @@ def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
     lowest weights seen are kept with ``fmin`` and every weight goes through
     ``maximum``, which leaves one at or above the floor unchanged.  A step
     that overflows yields inf or NaN without a numpy warning, and the next
-    step's one finiteness reduction turns that into ``ValidationError``.
+    step's sigmoid kernel turns that into ``ValidationError``.
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
@@ -344,7 +339,7 @@ def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
                 x.take(idx, axis=0, out=rows, mode="clip")
                 if widen:
                     np.copyto(buf.x, rows)
-                opt.step(params, _gradient(columns, shifts, buf.x, ub, cfg.l2, buf))
+                opt.step(params, _gradient(columns, shifts, ub, cfg.l2, buf))
                 np.fmin(lowest, w, out=lowest)
                 np.maximum(w, floor, out=w)
     return w, b, (lowest < floor).any(axis=1)

@@ -333,46 +333,38 @@ class PredictionMatrix:
 # --- scalar / vector arithmetic ------------------------------------------
 
 
-_SIGMOID_NOT_FINITE = "sigmoid input must be finite"
-
-
 def sigmoid(x):
     """Logistic function 1 / (1 + e^-x), elementwise, stable for large |x|."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValidationError(_SIGMOID_NOT_FINITE)
     x1 = np.atleast_1d(x)
-    buf = _SigmoidBuffers(x1.shape, np.empty_like(x1), keep_neg_abs=False)
-    out = _sigmoid(x1, buf)
+    out = _sigmoid(x1, _SigmoidBuffers(x1.shape, np.empty_like(x1)))
     return float(out[0]) if x.ndim == 0 else out
 
 
 class _SigmoidBuffers:
-    """Work arrays of :func:`_sigmoid` for one shape, views made once.
+    """Work arrays of :func:`_sigmoid` for one shape, views made once: one
+    pair the exponentials overwrite in place, and the output array."""
 
-    Without ``keep_neg_abs`` the exponentials overwrite their arguments,
-    which saves two arrays the size of the input.
-    """
-
-    def __init__(self, shape, out: np.ndarray, keep_neg_abs: bool = True):
+    def __init__(self, shape, out: np.ndarray):
         self.pair = np.empty((2, *shape))
-        self.exps = np.empty((2, *shape)) if keep_neg_abs else self.pair
         self.neg_abs, self.low = self.pair
-        self.e_abs, self.e_low = self.exps
         self.out = out
 
 
 def _sigmoid(x: np.ndarray, buf: _SigmoidBuffers) -> np.ndarray:
-    """Unchecked kernel of :func:`sigmoid`: the result goes to ``buf.out``.
+    """Kernel of :func:`sigmoid`: the result goes to ``buf.out``.
 
-    ``buf.neg_abs`` keeps -|x|, which is NaN or -inf exactly where ``x`` is
-    not finite, for a caller that checks after the fact.
+    A non-finite ``x`` raises before anything is exponentiated, and
+    ``buf.out`` is then left as it was.
     """
     np.copysign(x, -1.0, out=buf.neg_abs)
+    # -|x| is NaN or -inf exactly where x is not finite; an empty x passes
+    if not np.minimum.reduce(buf.neg_abs, axis=None, initial=0.0) > -np.inf:
+        raise ValidationError("sigmoid input must be finite")
     np.minimum(x, 0.0, out=buf.low)  # -|x| where x < 0, else 0
-    np.exp(buf.pair, out=buf.exps)  # both in [0, 1], so nothing overflows
-    den = np.add(buf.e_abs, 1.0, out=buf.e_abs)
-    return np.divide(buf.e_low, den, out=buf.out)  # 1/(1+e^-x), or e^x/(1+e^x)
+    np.exp(buf.pair, out=buf.pair)  # both in [0, 1], so nothing overflows
+    den = np.add(buf.neg_abs, 1.0, out=buf.neg_abs)  # 1 + e^-|x|
+    return np.divide(buf.low, den, out=buf.out)  # 1/(1+e^-x), or e^x/(1+e^x)
 
 
 def harden(values, t: float = 0.5) -> np.ndarray:

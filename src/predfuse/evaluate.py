@@ -75,6 +75,9 @@ def _check_folds(n_ids: int, n_folds: int) -> None:
         raise ValidationError(f"cannot split {n_ids} ids into {n_folds} folds")
 
 
+_MAX_RUNS = 100_000  # folds x repeats; the README's protocol runs 150
+
+
 @dataclass(frozen=True)
 class RunPlan:
     n_folds: int = 5
@@ -86,6 +89,10 @@ class RunPlan:
             raise ValidationError("need at least two folds")
         if self.repeats_per_fold < 1:
             raise ValidationError("need at least one repeat per fold")
+        runs = self.n_folds * self.repeats_per_fold
+        if runs > _MAX_RUNS:
+            raise ValidationError(
+                f"folds x repeats is {runs} runs, more than {_MAX_RUNS}")
         check_seed(self.seed)
 
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_SIGMOID_NOT_FINITE, LabelVector, PredictionMatrix,
-                   _of_checked, _sigmoid, _SigmoidBuffers, check_seed, harden)
+from .core import (LabelVector, PredictionMatrix, _of_checked, _sigmoid,
+                   _SigmoidBuffers, check_seed, harden)
 from .errors import ValidationError
 
 __all__ = ["SyntheticSpec", "inv_norm_cdf", "generate", "estimate_error_correlation"]
@@ -155,14 +155,12 @@ def generate(spec: SyntheticSpec) -> tuple[LabelVector, PredictionMatrix]:
     e *= math.sqrt(1.0 - spec.rho)
 
     col = np.empty(n)
-    buf = _SigmoidBuffers((n,), None, keep_neg_abs=False)  # out set per model
+    buf = _SigmoidBuffers((n,), None)  # out set per model
     for j, a in enumerate(spec.target_acc):
         np.multiply(s, inv_norm_cdf(a), out=col)
         col += g
         col += e[:, j]
         col *= spec.sharpness
-        if not np.isfinite(col).all():
-            raise ValidationError(_SIGMOID_NOT_FINITE)
         buf.out = e[:, j]
         _sigmoid(col, buf)
     return labels, _of_checked(PredictionMatrix, labels.ids, e,

@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combiner import TrainConfig, _bce, _fit, _gradient
+from .combiner import TrainConfig, _fit
 from .core import sigmoid
 from .errors import ValidationError
 
 __all__ = ["Vocabulary", "LogisticModel", "tokenize", "build_vocab", "encode",
-           "train_logistic", "predict_proba", "logistic_loss",
-           "logistic_gradient", "load_corpus"]
+           "train_logistic", "predict_proba", "load_corpus"]
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
@@ -102,21 +101,6 @@ def _encode_rows(token_lists, vocab: Vocabulary, dtype=np.float64) -> np.ndarray
 
 def predict_proba(model: LogisticModel, doc: str) -> float:
     return float(sigmoid(encode(doc, model.vocab) @ model.weights + model.bias))
-
-
-def logistic_loss(w: np.ndarray, bias: float, x: np.ndarray,
-                  u: np.ndarray) -> float:
-    """Mean binary cross-entropy of sigmoid(x @ w + bias) against u."""
-    return _bce(sigmoid(x @ w + bias), u)
-
-
-def logistic_gradient(w: np.ndarray, bias: float, x: np.ndarray,
-                      u: np.ndarray) -> np.ndarray:
-    """Analytic gradient of :func:`logistic_loss`, weights first then bias."""
-    grad = _gradient(w[None, :, None], np.array([[-bias]]), x[None], u[None],
-                     0.0)[0]
-    grad[-1] = -grad[-1]
-    return grad
 
 
 def train_logistic(docs, labels, v_size: int, epochs: int = TrainConfig.epochs,

@@ -1,8 +1,10 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,18 @@ from predfuse.hybrid import default_theta_grid
 from predfuse.io_files import load_prediction_file
 
 from conftest import traced_peak, write_shuffled_suite
+
+
+def capped_cli(*argv, limit=512 << 20):
+    """Run the CLI in a child process whose address space is capped at
+    ``limit`` bytes, so a size the program fails to refuse ends in a
+    ``MemoryError`` there instead of filling this machine's memory."""
+    env = dict(os.environ, PYTHONPATH=str(Path(predfuse.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "predfuse", *argv], env=env, capture_output=True,
+        text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
 
 @pytest.fixture
@@ -439,6 +453,34 @@ class TestGrid:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["0.51:0.99:5e-324",
+                                      "0.5000001:0.9999999:1e-12"])
+    @pytest.mark.parametrize("command", ["sweep-theta", "cv"])
+    def test_oversized_grid_refused_before_it_is_built(self, suite, tmp_path,
+                                                       command, text):
+        out = tmp_path / "sweep.tsv"
+        if command == "cv":
+            argv = ["cv", "--method", "hybrid", "--hybrid-base", "M3",
+                    "--hybrid-aux", "M1", "M2", "--train-preds", *suite["train_preds"],
+                    "--train-labels", suite["train_labels"],
+                    "--test-preds", *suite["test_preds"],
+                    "--test-labels", suite["test_labels"]]
+        else:
+            argv = ["sweep-theta", "--preds", *suite["train_preds"],
+                    "--labels", suite["train_labels"], "--base", "M3",
+                    "--aux", "M1", "M2"]
+        proc = capped_cli(*argv, "--grid", text, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(f"grid has more than 1000000 values: {text!r}\n")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_largest_grid_is_built(self):
+        grid = _grid("0:999999:1")
+        assert len(grid) == 1_000_000 and grid[-1] == 999999.0
+        with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+            _grid("0:1000000:1")
+
 
 _NOT_FINITE = "predfuse: invalid input: sigmoid input must be finite\n"
 
@@ -560,6 +602,37 @@ class TestDivergence:
         if proc.returncode == 0:  # an infinite weight sum lies in no interval
             row = dict(zip(*(line.split("\t") for line in proc.stdout.splitlines())))
             assert (row["W"], row["contained"]) == ("inf", "no")
+
+
+class TestSizeCeilings:
+    """A size no run could hold exits 2 with one stderr line, and leaves
+    the output as it was: refused with the flags where its size is known,
+    else reported as running out of memory."""
+
+    def test_cv_run_count_refused_before_any_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        out = tmp_path / "report.tsv"
+        assert main(["cv", "--folds", "5", "--repeats", "100000000",
+                     "--method", "nn", "--train-preds", missing,
+                     "--train-labels", missing, "--test-preds", missing,
+                     "--test-labels", missing, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "predfuse: invalid input: folds x repeats is 500000000 runs, "
+            "more than 100000\n")
+        assert not out.exists()
+
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path):
+        out = tmp_path / "D"
+        out.mkdir()
+        (out / "keep.txt").write_text("as it was\n")
+        proc = capped_cli("synth", "--models", "2", "--acc", "0.8,0.9",
+                          "--n", "1000000000000", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("predfuse: out of memory")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "as it was\n"
 
 
 class TestCheckBound:

@@ -10,7 +10,7 @@ from predfuse import (AlignmentError, CombinerWeights, ConstraintError,
                       LabelVector, PredictionMatrix, TrainConfig,
                       ValidationError, accuracy, derive_seed, gradient,
                       kfold_split, loss, predict, sigmoid, train, train_runs)
-from predfuse.combiner import _fit, _gradient
+from predfuse.combiner import _fit, _gradient, _StepBuffers
 from predfuse.optim import Adam
 from predfuse.synth import SyntheticSpec, generate
 
@@ -389,7 +389,7 @@ def reference_fit(x, u, w, b, cfgs, floor, fold):
         for start in range(0, n, cfg.batch_size):
             idx = order[:, start:start + cfg.batch_size]
             opt.step(params, _gradient(params[:, :k, None], params[:, k:],
-                                       x[idx], u[idx], cfg.l2))
+                                       u[idx], cfg.l2, _StepBuffers(x[idx])))
             if floor > -np.inf and np.fmin.reduce(w, axis=None) < floor:
                 low = (w < floor).any(axis=1)
                 clipped |= low

@@ -84,7 +84,21 @@ class TestSigmoid:
         for scale in (1.0, 1e-3, 40.0):
             assert core._sigmoid(x * scale, buf) is buf.out
             assert buf.out.tobytes() == self.two_branch(x * scale).tobytes()
-            assert buf.neg_abs.tobytes() == (-np.abs(x * scale)).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_kernel_rejects_nonfinite_before_writing(self, rng, bad):
+        for _ in range(5):
+            x = rng.normal(0.0, 20.0, (3, 32))
+            x[int(rng.integers(3)), int(rng.integers(32))] = bad
+            buf = core._SigmoidBuffers(x.shape, np.full(x.shape, 7.0))
+            with pytest.raises(ValidationError, match="sigmoid input must be finite"):
+                core._sigmoid(x, buf)
+            assert (buf.out == 7.0).all()
+
+    def test_empty_input_gives_empty_output(self):
+        got = sigmoid(np.array([]))
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.float64 and got.shape == (0,)
 
 
 class TestHarden:

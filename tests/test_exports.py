@@ -55,3 +55,34 @@ def test_no_private_helper_is_left_behind():
     unused = [f"{module}: {name}" for module, tree in trees.items()
               for name in _private_definitions(tree) if name not in loaded]
     assert unused == []
+
+
+def _enclosing_functions(tree):
+    """Map each node to the name of the innermost function holding it."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, None)
+    return owner
+
+
+def test_sigmoid_kernel_is_the_one_finiteness_check():
+    """The sigmoid's finiteness error is raised in one place, the kernel
+    every caller goes through, never by a caller of it."""
+    message = "sigmoid input must be finite"
+    sites = []
+    for path in sorted(Path(predfuse.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = _enclosing_functions(tree)
+        raises = {node for r in ast.walk(tree) if isinstance(r, ast.Raise)
+                  for node in ast.walk(r)}
+        sites += [(path.stem, owner[node], node in raises)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value == message]
+    assert sites == [("core", "_sigmoid", True)]

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from predfuse import textmodel
+from predfuse.combiner import _bce, _gradient, _StepBuffers
+from predfuse.core import sigmoid
 from predfuse.errors import ValidationError
 from predfuse.textmodel import (LogisticModel, Vocabulary, _encode_rows,
                                 build_vocab, encode, load_corpus,
-                                logistic_gradient, logistic_loss,
                                 predict_proba, tokenize, train_logistic)
 
 from conftest import traced_peak
@@ -157,6 +158,21 @@ class TestTrain:
     def test_bad_hyperparameter_names_the_parameter(self, kwargs, culprit):
         with pytest.raises(ValidationError, match=culprit):
             train_logistic(["a b", "b c"], [1, 0], v_size=3, **kwargs)
+
+
+def logistic_loss(w, bias, x, u):
+    """The text model's objective: the mean binary cross-entropy of
+    sigmoid(x @ w + bias) against u, the combiner's with shift -bias."""
+    return _bce(sigmoid(x @ w + bias), u)
+
+
+def logistic_gradient(w, bias, x, u):
+    """The training loop's analytic gradient of :func:`logistic_loss`,
+    weights first then bias."""
+    grad = _gradient(w[None, :, None], np.array([[-bias]]), u[None], 0.0,
+                     _StepBuffers(x[None]))[0]
+    grad[-1] = -grad[-1]
+    return grad
 
 
 class TestLogisticGradient:
