@@ -25,11 +25,11 @@ print(np.round(estimate_error_correlation(matrix, labels), 3))
 
 print("\ncombination rules over all three models:")
 for rule in ("sum", "avg", "max", "maj"):
-    scores, _ = apply_rule(rule, matrix)
+    scores = apply_rule(rule, matrix)
     print(f"  {rule}: {accuracy(scores, labels):.4f}")
 
 # restricted to two models, sum/avg/max give identical decisions
 print("\ntwo-model subset (M1, M3):")
 for rule in ("sum", "avg", "max"):
-    scores, _ = apply_rule(rule, matrix.select(["M1", "M3"]))
+    scores = apply_rule(rule, matrix.select(["M1", "M3"]))
     print(f"  {rule}: {accuracy(scores, labels):.4f}")

@@ -198,7 +198,7 @@ def _cmd_combine(args) -> None:
     elif args.method == "hybrid":
         series = hybrid_predict(cfg, matrix).series
     else:
-        series, _ = apply_rule(args.method, matrix)
+        series = apply_rule(args.method, matrix)
     io_files.save_prediction_file(args.out, series)
 
 

@@ -200,7 +200,7 @@ def cross_validate(plan: RunPlan, train_preds: PredictionMatrix,
             records.append(_nn_run(f, r, result, *folds[f], test_m, test_u))
     elif isinstance(method, RuleMethod):  # nothing is fitted: no folds drawn
         label = method.rule
-        acc = accuracy(apply_rule(method.rule, test_preds)[0], test_u)
+        acc = accuracy(apply_rule(method.rule, test_preds), test_u)
         for f in range(plan.n_folds):
             records.append(RunRecord(fold=f, repeat=0, accuracy=acc,
                                      detail=f"rule={method.rule}"))

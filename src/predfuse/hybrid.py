@@ -7,8 +7,10 @@ so every sample would stay with the base) and 1.  A grid sweep picks theta
 on a tuning split by maximizing accuracy, breaking ties toward the smallest
 value so the base model is preferred when fallback buys nothing.
 
-On a labelled suite the hybrid's accuracy at every theta comes from one
-theta-independent table: base confidence, base label right, rule label right.
+Like every combiner it returns one score per sample, whose label is that
+score hardened at 0.5.  On a labelled suite the hybrid's accuracy at every theta comes from one
+theta-independent table: base confidence, and whether the base's and the
+rule's hardened scores are right.
 """
 
 from __future__ import annotations
@@ -65,17 +67,10 @@ def _check_theta(theta) -> float:
 
 @dataclass(frozen=True)
 class HybridPrediction:
-    """Per-sample decisions plus which side produced each one."""
+    """Per-sample scores plus which side produced each one."""
 
-    ids: tuple[str, ...]
-    probs: np.ndarray = field(repr=False)     # base prob or rule score
-    labels: np.ndarray = field(repr=False)
+    series: ProbSeries                        # base prob or rule score
     fallback: np.ndarray = field(repr=False)  # True where the rule decided
-
-    @property
-    def series(self) -> ProbSeries:
-        """``probs`` keyed by id; ``hybrid_predict`` built both from checked parts."""
-        return _of_checked(ProbSeries, self.ids, self.probs)
 
     @property
     def fallback_fraction(self) -> float:
@@ -85,16 +80,14 @@ class HybridPrediction:
 def _decision_arrays(cfg_base: str, cfg_aux, rule: str, matrix: PredictionMatrix):
     base_p = matrix.column(cfg_base).values
     conf = np.maximum(base_p, 1.0 - base_p)
-    base_lab = harden(base_p, 0.5)
-    aux_scores, aux_lab = _rule_scores(rule, matrix.select(cfg_aux).values)
-    return base_p, conf, base_lab, aux_scores, aux_lab
+    return base_p, conf, _rule_scores(rule, matrix.select(cfg_aux).values)
 
 
 def _table(base: str, aux, rule: str, matrix: PredictionMatrix, labels: LabelVector):
     """(conf, base_ok, aux_ok): the theta-independent table of a suite."""
-    _, conf, base_lab, _, aux_lab = _decision_arrays(base, aux, rule, matrix)
+    base_p, conf, aux_scores = _decision_arrays(base, aux, rule, matrix)
     u = labels.align_to(matrix.ids)
-    return conf, base_lab == u, aux_lab == u
+    return conf, harden(base_p) == u, harden(aux_scores) == u
 
 
 def _accuracy_at(table, theta: float) -> tuple[float, float]:
@@ -105,18 +98,15 @@ def _accuracy_at(table, theta: float) -> tuple[float, float]:
 
 
 def hybrid_predict(cfg: HybridConfig, matrix: PredictionMatrix) -> HybridPrediction:
-    """Per-sample label: the base model's where it is confident, else the rule.
+    """Per-sample score: the base model's where it is confident, else the rule's.
 
     A sample keeps the base when confidence >= theta; fallback happens only
-    strictly below theta.  The returned probability column hardens back to
-    the labels at 0.5, so it round-trips through prediction files.
+    strictly below theta.  Its label is the score hardened at 0.5.
     """
-    base_p, conf, base_lab, aux_scores, aux_lab = _decision_arrays(
-        cfg.base, cfg.aux, cfg.rule, matrix)
+    base_p, conf, aux_scores = _decision_arrays(cfg.base, cfg.aux, cfg.rule, matrix)
     fallback = conf < cfg.theta
-    labels = np.where(fallback, aux_lab, base_lab)
-    probs = np.where(fallback, aux_scores, base_p)
-    return HybridPrediction(matrix.ids, probs, labels, fallback)
+    series = _of_checked(ProbSeries, matrix.ids, np.where(fallback, aux_scores, base_p))
+    return HybridPrediction(series, fallback)
 
 
 def default_theta_grid() -> list[float]:

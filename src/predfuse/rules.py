@@ -12,9 +12,9 @@ Useful identities, all covered by tests:
   * majority vote equals sum when every p_i is already hard (0 or 1).
 
 Each rule has one implementation, the vectorized :func:`rule_scores` over an
-(N, K) block; :func:`apply_rule` is its entry for a prediction matrix.  Its
-score is a reportable confidence surrogate in [0, 1], defined so that
-label == (score >= 0.5) for every rule; decisions never depend on it.
+(N, K) block; :func:`apply_rule` is its entry for a prediction matrix.  Each
+returns one score per sample, in [0, 1]; a rule's label is its score
+hardened at 0.5, as for every other combiner.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ def check_panel(rule: str, k: int) -> None:
         raise ConstraintError(f"majority vote needs an odd number of models, got {k}")
 
 
-def rule_scores(rule: str, values) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (scores, labels) for an (N, K) block of probabilities in [0, 1]."""
+def rule_scores(rule: str, values) -> np.ndarray:
+    """Vectorized scores for an (N, K) block of probabilities in [0, 1]."""
     return _rule_scores(rule, check_probs(values))
 
 
-def _rule_scores(rule: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rule_scores(rule: str, values: np.ndarray) -> np.ndarray:
     """:func:`rule_scores` of a block already known to hold probabilities."""
     check_rule_kind(rule)
     if values.ndim != 2 or values.shape[1] == 0:
@@ -54,30 +54,23 @@ def _rule_scores(rule: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     k = values.shape[1]
     check_panel(rule, k)
     if rule in ("sum", "avg"):
-        scores = values.mean(axis=1)
-        labels = (scores >= 0.5).astype(np.int64)
-    elif rule == "max":
+        return values.mean(axis=1)
+    if rule == "max":
         hi1 = values.max(axis=1)
         hi0 = 1.0 - values.min(axis=1)
         scores = hi1 / (hi1 + hi0)
-        labels = (hi1 >= hi0).astype(np.int64)
         # Where hi1 < hi0 the sum can round to 2 * hi1 and the score to 0.5;
-        # the largest double below 0.5 keeps it on the label's side.
-        scores[(scores == 0.5) & (labels == 0)] = np.nextafter(0.5, 0.0)
-    else:  # maj
-        votes = (values >= 0.5).sum(axis=1)
-        scores = votes / k
-        labels = (2 * votes > k).astype(np.int64)
-    return scores, labels
+        # the largest double below 0.5 keeps it on class 0's side.
+        scores[(scores == 0.5) & (hi1 < hi0)] = np.nextafter(0.5, 0.0)
+        return scores
+    return (values >= 0.5).sum(axis=1) / k  # maj: the share of votes
 
 
-def apply_rule(rule: str, matrix: PredictionMatrix
-               ) -> tuple[ProbSeries, np.ndarray]:
+def apply_rule(rule: str, matrix: PredictionMatrix) -> ProbSeries:
     """Apply a rule per sample over every column of a prediction matrix.
 
-    Returns the score series (aligned to the matrix ids) and the label
-    vector it hardens to.  The scores are probabilities by construction.
-    To combine some of the models, pass ``matrix.select(names)``.
+    Returns the score series, aligned to the matrix ids; the scores are
+    probabilities by construction.  To combine some of the models, pass
+    ``matrix.select(names)``.
     """
-    scores, labels = _rule_scores(rule, matrix.values)
-    return _of_checked(ProbSeries, matrix.ids, scores), labels
+    return _of_checked(ProbSeries, matrix.ids, _rule_scores(rule, matrix.values))

@@ -43,14 +43,16 @@ class TestHybridPredict:
         m = make_matrix([[0.95, 0.2, 0.3]], names=("B", "A1", "A2"))
         pred = hybrid_predict(HybridConfig("B", ("A1", "A2"), "max", 0.91), m)
         assert pred.fallback.tolist() == [False]
-        assert pred.labels.tolist() == [1]
+        assert pred.series.values.tolist() == [0.95]
+        assert harden(pred.series.values).tolist() == [1]
 
     def test_unconfident_base_falls_back_to_rule(self):
         # base conf 0.6 < 0.91; max rule over [0.2, 0.3]: 0.3 < 0.8 -> class 0
         m = make_matrix([[0.6, 0.2, 0.3]], names=("B", "A1", "A2"))
         pred = hybrid_predict(HybridConfig("B", ("A1", "A2"), "max", 0.91), m)
         assert pred.fallback.tolist() == [True]
-        assert pred.labels.tolist() == [0]
+        assert pred.series.values.tolist() == [0.3 / (0.3 + (1.0 - 0.2))]
+        assert harden(pred.series.values).tolist() == [0]
 
     def test_theta_near_half_keeps_base_everywhere(self, rng):
         vals = rng.uniform(0, 1, size=(100, 3))
@@ -59,7 +61,8 @@ class TestHybridPredict:
         m = make_matrix(vals, names=("B", "A1", "A2"))
         pred = hybrid_predict(HybridConfig("B", ("A1", "A2"), "sum", 0.51), m)
         assert not pred.fallback.any()
-        np.testing.assert_array_equal(pred.labels, harden(vals[:, 0], 0.5))
+        np.testing.assert_array_equal(pred.series.values, vals[:, 0])
+        np.testing.assert_array_equal(harden(pred.series.values), harden(vals[:, 0], 0.5))
 
     def test_sources_partition_the_samples(self, rng):
         m = make_matrix(rng.uniform(0, 1, size=(200, 3)), names=("B", "A1", "A2"))
@@ -77,7 +80,7 @@ class TestHybridPredict:
 
     def test_single_aux_makes_rule_irrelevant(self, rng):
         m = make_matrix(rng.uniform(0, 1, size=(150, 2)), names=("B", "A"))
-        outs = [hybrid_predict(HybridConfig("B", ("A",), rule, 0.9), m).labels
+        outs = [harden(hybrid_predict(HybridConfig("B", ("A",), rule, 0.9), m).series.values)
                 for rule in ("sum", "avg", "max", "maj")]
         for other in outs[1:]:
             np.testing.assert_array_equal(outs[0], other)
@@ -91,7 +94,11 @@ class TestHybridPredict:
         m = make_matrix(rng.uniform(0, 1, size=(120, 4)),
                         names=("B", "A1", "A2", "A3"))
         pred = hybrid_predict(HybridConfig("B", ("A1", "A2", "A3"), "maj", 0.85), m)
-        np.testing.assert_array_equal(harden(pred.probs, 0.5), pred.labels)
+        vals, fallback = m.values, pred.fallback
+        np.testing.assert_array_equal(fallback, np.maximum(vals[:, 0], 1 - vals[:, 0]) < 0.85)
+        # the base's label where it is kept, else the majority of A1..A3
+        want = np.where(fallback, 2 * (vals[:, 1:] >= 0.5).sum(axis=1) > 3, vals[:, 0] >= 0.5)
+        np.testing.assert_array_equal(harden(pred.series.values), want)
 
 
 class TestThetaSweep:
