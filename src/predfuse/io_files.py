@@ -14,11 +14,12 @@ in one pass over its bytes.  A file that pass declines is read once by the
 checked, and the loaders check neither again.
 
 A suite (``load_matrix``, ``load_suite``), named by its files' stems, has
-one id index: a ``{id: row}`` dict over its first prediction file's ids,
-built once that file is read, which is also those ids' duplicate check.
-Each later prediction file, and the label file, is placed into it chunk by
-chunk as it is read, so it holds no ids, set or dict of its own, and the
-join writes each file's values into one (N, K) array.  A file the placing
+at most one id index: a ``{id: row}`` dict over its first prediction file's
+ids, built only where a later prediction file or a label file is placed
+into it, so a lone file is read with no index at all.  Each placed file is
+placed into it chunk by chunk as it is read, so it holds no ids, set or
+dict of its own, and the join writes each file's values into one (N, K)
+array.  A file the placing
 pass declines (not plain, or not exactly the first file's ids) is read by
 the row scanner, and the join or the caller's alignment decides it as for a
 file read alone.
@@ -100,8 +101,7 @@ _CHUNK_BYTES = 1 << 14
 
 
 def _read_csv(path, column: str, suite=None):
-    """Checked ids and values of an ``id,<column>`` CSV, and the ``{id: row}``
-    index over those ids, or None.
+    """Checked ids and values of an ``id,<column>`` CSV.
 
     One plain pass (:func:`_plain_chunks`) either collects the rows
     (:func:`_plain_rows`) or, given ``suite``, the ids of a suite's first
@@ -109,8 +109,8 @@ def _read_csv(path, column: str, suite=None):
     (:func:`_place`).  A file the pass declines is read once by the row
     scanner (:func:`_scan_rows`), which decides it, so every error is the
     scanner's; in a suite, it is placed whole if it holds exactly the
-    suite's ids, and otherwise keeps its own ids, with no index, for the
-    caller's alignment to report what differs.
+    suite's ids, and otherwise keeps its own ids for the caller's alignment
+    to report what differs.
     """
     dtype = _COLUMNS[column][3]
     with _source(path) as src:
@@ -121,11 +121,10 @@ def _read_csv(path, column: str, suite=None):
         src.seek(0)
         ids, values = _scan_rows(src, path, column)
     ids, values = SampleIds(ids), np.asarray(values, dtype=dtype)
-    if suite is None:
-        return ids, values, _index_of(ids)
     # Only a file as long as the suite's first can hold exactly its ids.
-    placed = len(ids) == len(suite[0]) and _place([(ids, values)], *suite, dtype)
-    return placed or (ids, values, None)
+    placed = (suite is not None and len(ids) == len(suite[0])
+              and _place([(ids, values)], *suite, dtype))
+    return placed or (ids, values)
 
 
 @contextmanager
@@ -137,8 +136,8 @@ def _source(path):
 
 
 def _plain_rows(fh, column: str):
-    """Checked ids, values and ``{id: row}`` index of a plain ``id,<column>``
-    CSV read from binary ``fh``, or None, also when an id repeats.
+    """Checked ids and values of a plain ``id,<column>`` CSV read from
+    binary ``fh``, or None, also when an id repeats.
 
     A plain file holds no ``"``, ``\\r`` or NUL (Python 3.10's ``csv``
     rejects NUL, 3.11 reads it), and after an optional BOM and one final
@@ -156,13 +155,13 @@ def _plain_rows(fh, column: str):
     if not ids:
         return None
     values = np.concatenate(values)
-    ids = SampleIds(ids)  # the id list is freed before the index is built
-    index = _index_of(ids)
-    return (ids, values, index) if len(index) == len(ids) else None
+    ids = SampleIds(ids)  # the id list is freed before the check's dict is built
+    # A key-only dict: a set of the same ids peaked higher.
+    return (ids, values) if len(dict.fromkeys(ids)) == len(ids) else None
 
 
 def _place(chunks, ids: SampleIds, rows: dict[str, int], dtype):
-    """``(ids, values, rows)``: the values of ``chunks``, ``(ids, values)``
+    """``(ids, values)``: the values of ``chunks``, ``(ids, values)``
     pairs, placed at the rows that ``rows``, the index over ``ids``, gives
     their ids; None after a None chunk, or unless they hold each id once."""
     n = len(ids)
@@ -182,7 +181,7 @@ def _place(chunks, ids: SampleIds, rows: dict[str, int], dtype):
         count += k
     if count != n or not hit.all():
         return None  # an id missing or repeated
-    return ids, values, rows
+    return ids, values
 
 
 def _plain_chunks(fh, column: str):
@@ -339,7 +338,7 @@ def _label_csv(path, labels: LabelVector):
 
 def load_prediction_file(path) -> ProbSeries:
     """Read an ``id,prob`` CSV; errors name the file, line, and value."""
-    return _of_checked(ProbSeries, *_read_csv(path, "prob")[:2])
+    return _of_checked(ProbSeries, *_read_csv(path, "prob"))
 
 
 def save_prediction_file(path, series: ProbSeries) -> None:
@@ -348,7 +347,7 @@ def save_prediction_file(path, series: ProbSeries) -> None:
 
 def load_label_file(path) -> LabelVector:
     """Read an ``id,label`` CSV with labels in {0, 1}."""
-    return _of_checked(LabelVector, *_read_csv(path, "label")[:2])
+    return _of_checked(LabelVector, *_read_csv(path, "label"))
 
 
 def save_label_file(path, labels: LabelVector) -> None:
@@ -364,9 +363,10 @@ def load_matrix(paths) -> PredictionMatrix:
     """Join prediction files on their sample ids into one matrix.
 
     The join is strict: every file must carry exactly the same id set (in
-    any order).  Model names are the file stems.  The first file's
-    ids are indexed once; each later file is placed into that index as it
-    is read, so it holds no ids of its own (:func:`_read_csv`).  Every file
+    any order).  Model names are the file stems.  Given later files, the
+    first file's ids are indexed once, and each later file is placed into
+    that index as it is read, so it holds no ids of its own
+    (:func:`_read_csv`); a lone file is read with no index.  Every file
     is still read, and a file that fails to parse wins over a join error in
     an earlier one.
     """
@@ -391,14 +391,15 @@ def _load_suite(paths, labels=None):
     paths = [Path(p) for p in paths]
     if not paths:
         raise ValidationError("no prediction files given")
-    ids, values, index = _read_csv(paths[0], "prob")
-    suite = ids, index
+    ids, values = _read_csv(paths[0], "prob")
+    # The one index, only where a later file or the labels are placed into it.
+    suite = (ids, _index_of(ids)) if len(paths) > 1 or labels is not None else None
     series = _suite_series(_of_checked(ProbSeries, ids, values), paths[1:], suite)
     del values  # the join alone holds them, and frees them once copied
     matrix = PredictionMatrix.from_columns(model_names(paths), series)
     if labels is None:
         return matrix
-    return matrix, _of_checked(LabelVector, *_read_csv(labels, "label", suite)[:2])
+    return matrix, _of_checked(LabelVector, *_read_csv(labels, "label", suite))
 
 
 def _suite_series(first: ProbSeries, paths, suite):
@@ -408,7 +409,7 @@ def _suite_series(first: ProbSeries, paths, suite):
     yield first
     del first
     for path in paths:
-        yield _of_checked(ProbSeries, *_read_csv(path, "prob", suite)[:2])
+        yield _of_checked(ProbSeries, *_read_csv(path, "prob", suite))
 
 
 def save_matrix_files(out_dir, matrix: PredictionMatrix,
