@@ -83,6 +83,9 @@ def inv_norm_cdf(q: float) -> float:
     return x
 
 
+_MAX_SAMPLES = 10_000_000  # the README draws 25,000 samples, the bench 50,000
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for one suite: model count, target accuracies, correlation."""
@@ -109,6 +112,8 @@ class SyntheticSpec:
             raise ValidationError("rho must lie in [0, 1)")
         if self.n < 1:
             raise ValidationError("sample count must be positive")
+        if self.n > _MAX_SAMPLES:
+            raise ValidationError(f"sample count {self.n} is more than {_MAX_SAMPLES}")
         if not 0.0 <= self.balance <= 1.0:
             raise ValidationError("balance must lie in [0, 1]")
         if not 0.0 < self.sharpness < math.inf:

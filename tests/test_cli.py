@@ -621,12 +621,24 @@ class TestSizeCeilings:
             "more than 100000\n")
         assert not out.exists()
 
+    def test_synth_sample_count_refused_before_it_draws(self, tmp_path):
+        out = tmp_path / "D"
+        out.mkdir()
+        (out / "keep.txt").write_text("as it was\n")
+        proc = capped_cli("synth", "--models", "2", "--acc", "0.8,0.9",
+                          "--n", "10000001", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == ("predfuse: invalid input: sample count 10000001 "
+                               "is more than 10000000\n")
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "as it was\n"
+
     def test_out_of_memory_exits_2_with_one_line(self, tmp_path):
         out = tmp_path / "D"
         out.mkdir()
         (out / "keep.txt").write_text("as it was\n")
         proc = capped_cli("synth", "--models", "2", "--acc", "0.8,0.9",
-                          "--n", "1000000000000", "--out", str(out))
+                          "--n", "10000000", "--out", str(out))
         assert proc.returncode == 2
         assert proc.stderr.startswith("predfuse: out of memory")
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")

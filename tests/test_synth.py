@@ -105,6 +105,12 @@ class TestSyntheticSpec:
         with pytest.raises(ValidationError):
             SyntheticSpec(k=1, target_acc=(0.8,), rho=1.0)
 
+    def test_sample_count_ceiling(self):
+        assert SyntheticSpec(k=1, target_acc=(0.8,), n=10_000_000).n == 10_000_000
+        with pytest.raises(ValidationError) as err:
+            SyntheticSpec(k=1, target_acc=(0.8,), n=10_000_001)
+        assert str(err.value) == "sample count 10000001 is more than 10000000"
+
 
 class TestGenerate:
     def test_deterministic_bitwise(self):
