@@ -15,14 +15,13 @@ checked, and the loaders check neither again.
 
 A suite (``load_matrix``, ``load_suite``), named by its files' stems, has
 at most one id index: a ``{id: row}`` dict over its first prediction file's
-ids, built only where a later prediction file or a label file is placed
-into it, so a lone file is read with no index at all.  Each placed file is
-placed into it chunk by chunk as it is read, so it holds no ids, set or
-dict of its own, and the join writes each file's values into one (N, K)
-array.  A file the placing
-pass declines (not plain, or not exactly the first file's ids) is read by
-the row scanner, and the join or the caller's alignment decides it as for a
-file read alone.
+ids, built only where a later prediction file or the label file is placed
+into it, chunk by chunk as it is read, so such a file holds no ids, set or
+dict of its own; a lone file is read with no index.  The join writes each
+file's values into one (N, K) array.  A file the placing pass declines
+(not plain, or not exactly the first file's ids) is read by the row
+scanner, and the join or the caller's alignment decides it as for a file
+read alone.
 """
 
 from __future__ import annotations
