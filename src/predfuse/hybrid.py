@@ -8,9 +8,9 @@ on a tuning split by maximizing accuracy, breaking ties toward the smallest
 value so the base model is preferred when fallback buys nothing.
 
 Like every combiner it returns one score per sample, whose label is that
-score hardened at 0.5.  On a labelled suite the hybrid's accuracy at every theta comes from one
-theta-independent table: base confidence, and whether the base's and the
-rule's hardened scores are right.
+score hardened at 0.5.  On a labelled suite the hybrid's accuracy at every
+theta comes from one theta-independent table: base confidence, and whether
+the base's and the rule's hardened scores are right.
 """
 
 from __future__ import annotations

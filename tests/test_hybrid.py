@@ -80,8 +80,9 @@ class TestHybridPredict:
 
     def test_single_aux_makes_rule_irrelevant(self, rng):
         m = make_matrix(rng.uniform(0, 1, size=(150, 2)), names=("B", "A"))
-        outs = [harden(hybrid_predict(HybridConfig("B", ("A",), rule, 0.9), m).series.values)
+        outs = [hybrid_predict(HybridConfig("B", ("A",), rule, 0.9), m).series.values
                 for rule in ("sum", "avg", "max", "maj")]
+        outs = [harden(scores) for scores in outs]
         for other in outs[1:]:
             np.testing.assert_array_equal(outs[0], other)
 
@@ -94,10 +95,10 @@ class TestHybridPredict:
         m = make_matrix(rng.uniform(0, 1, size=(120, 4)),
                         names=("B", "A1", "A2", "A3"))
         pred = hybrid_predict(HybridConfig("B", ("A1", "A2", "A3"), "maj", 0.85), m)
-        vals, fallback = m.values, pred.fallback
-        np.testing.assert_array_equal(fallback, np.maximum(vals[:, 0], 1 - vals[:, 0]) < 0.85)
+        base, aux, fallback = m.values[:, 0], m.values[:, 1:], pred.fallback
+        np.testing.assert_array_equal(fallback, np.maximum(base, 1 - base) < 0.85)
         # the base's label where it is kept, else the majority of A1..A3
-        want = np.where(fallback, 2 * (vals[:, 1:] >= 0.5).sum(axis=1) > 3, vals[:, 0] >= 0.5)
+        want = np.where(fallback, 2 * (aux >= 0.5).sum(axis=1) > 3, base >= 0.5)
         np.testing.assert_array_equal(harden(pred.series.values), want)
 
 
