@@ -151,12 +151,11 @@ def _plain_rows(fh, column: str):
             return None
         ids += chunk[0]
         values.append(chunk[1])
-    if not ids:
+    # A key-only dict checks for a repeated id: a set of the same ids, or
+    # the check after the tuple and values are built, peaked higher.
+    if not ids or len(dict.fromkeys(ids)) != len(ids):
         return None
-    values = np.concatenate(values)
-    ids = SampleIds(ids)  # the id list is freed before the check's dict is built
-    # A key-only dict: a set of the same ids peaked higher.
-    return (ids, values) if len(dict.fromkeys(ids)) == len(ids) else None
+    return SampleIds(ids), np.concatenate(values)
 
 
 def _place(chunks, ids: SampleIds, rows: dict[str, int], dtype):
