@@ -3,7 +3,8 @@
 Subcommands: synth, train-nn, combine, eval, sweep-theta, check-bound, cv.
 Exit codes: 0 success, 2 input validation error or out of memory, 3
 constraint violation (even-K majority vote, theta out of range, negative
-weight), 4 I/O error.
+weight), 4 I/O error; 128+N when signal N (SIGINT, SIGTERM or SIGHUP) ends
+a command, which then leaves no partial output either.
 Every command checks its flags before it reads any file.  Outputs go to
 --out when given, else stdout; file writes are atomic and all commands are
 deterministic given identical flags and seeds.
@@ -13,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -264,9 +267,31 @@ _COMMANDS = {
 }
 
 
+class _Signalled(BaseException):
+    """Signal ``args[0]`` arrived: raised where the command is, so that the
+    cleanup on the way out (``io_files._atomic_write``'s) runs."""
+
+
+def _signalled(signum, frame):
+    raise _Signalled(signum)
+
+
+# The signals that end a command with exit code 128+N, each taken over only
+# while still at its default, which would end the process (SIGINT's raises
+# KeyboardInterrupt): one ignored, as under nohup, stays ignored.
+_ENDING = [getattr(signal, name) for name in ("SIGINT", "SIGTERM", "SIGHUP")
+           if hasattr(signal, name)]
+_DEFAULTS = (signal.SIG_DFL, signal.default_int_handler)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    taken = {}  # the caller's handlers, back when main returns
     try:
+        if threading.current_thread() is threading.main_thread():
+            for signum in _ENDING:
+                if signal.getsignal(signum) in _DEFAULTS:
+                    taken[signum] = signal.signal(signum, _signalled)
         # an overflow is reported as the error it leads to, never as
         # numpy's warning
         with np.errstate(over="ignore"):
@@ -285,6 +310,14 @@ def main(argv=None) -> int:
         print("predfuse: out of memory" + (f": {exc}" if str(exc) else ""),
               file=sys.stderr)
         return 2
+    except _Signalled as exc:
+        signum = exc.args[0]
+        print(f"predfuse: interrupted by {signal.Signals(signum).name}",
+              file=sys.stderr)
+        return 128 + signum
+    finally:
+        for signum, handler in taken.items():
+            signal.signal(signum, handler)
     return 0
 
 

@@ -11,7 +11,7 @@ position, never one of each.
 Ids and values are checked once: a public constructor checks plain ids
 (strings, non-empty, unique; a private ``SampleIds`` passes) and the values,
 and ``select``, ``column``, ``restrict``, the join (``from_columns``, which
-checks only the model names), the file reader and its suite index,
+checks only the model names), the file reader and its suite join,
 ``predict``, ``apply_rule``, ``synth.generate`` and the hybrid's combined
 column build from checked parts through the private ``_of_checked``.
 
@@ -112,11 +112,11 @@ def _rows_of(ids: tuple[str, ...], wanted, missing: str) -> np.ndarray:
     """Row index in ``ids`` of each wanted id; AlignmentError names the first
     missing one.  ``wanted`` holds unique ids, as ``_as_ids`` makes them.
 
-    Rows are paired by id one way, here as in the file reader: an index over
-    one side (:func:`_index_of`) and one lookup of the other side's ids in it
-    (:func:`_rows_in`).  Here the index is over ``wanted``, so a fold's
-    restrict, which wants a fifth of the rows, indexes only those; the reader
-    indexes a suite's first file and looks up every later file's ids.
+    Rows are paired by an index over one side (:func:`_index_of`) and one
+    lookup of the other side's ids in it (:func:`_rows_in`).  The index is
+    over ``wanted``, so a fold's restrict, which wants a fifth of the rows,
+    indexes only those.  (The file reader pairs a suite's files by sorted
+    keys of their id bytes instead: ``idkeys``.)
     """
     where = _rows_in(_index_of(wanted), ids)
     hit = np.flatnonzero(where >= 0)
@@ -256,9 +256,9 @@ class PredictionMatrix:
         exactly the first one's ids, in any order, and an AlignmentError
         names the model and an id that one side lacks.  A series whose ids
         equal the first one's, in order, is taken as it is: the suite loader
-        (``io_files.load_matrix``) places each later file into an index over
-        the first file's ids as it reads it, so only a file it declines
-        reaches this join with ids of its own.
+        (``io_files.load_matrix``) places each later file into the first
+        file's rows by sorted id keys as it reads it, so only a file it
+        declines reaches this join with ids of its own.
 
         ``series`` is read once.  The (N, K) values are allocated when the
         first series arrives and each series is written into its column,

@@ -13,15 +13,17 @@ in one pass over its bytes.  A file that pass declines is read once by the
 ``file:line``, is the scanner's.  Either way the ids and values come back
 checked, and the loaders check neither again.
 
-A suite (``load_matrix``, ``load_suite``), named by its files' stems, has
-at most one id index: a ``{id: row}`` dict over its first prediction file's
-ids, built only where a later prediction file or the label file is placed
-into it, chunk by chunk as it is read, so such a file holds no ids, set or
-dict of its own; a lone file is read with no index.  The join writes each
-file's values into one (N, K) array.  A file the placing pass declines
-(not plain, or not exactly the first file's ids) is read by the row
-scanner, and the join or the caller's alignment decides it as for a file
-read alone.
+A plain file's ids are also cut into uint64 keys from the bytes that pass
+reads (``idkeys``), and sorted: two equal neighbours are a repeated id.  A
+suite (``load_matrix``, ``load_suite``), named by its files' stems, keeps
+those of its first prediction file as its one id index, only where a later
+prediction file or the label file is placed into it.  Such a file is placed
+chunk by chunk as it is read, rows in the first file's order as they come,
+any other order by sorting its own keys, so it holds no ids, set or dict of
+its own.  The join writes each file's values into one (N, K) array.  A file
+the placing pass declines (not plain, or not exactly the first file's ids)
+is read by the row scanner, and the join or the caller's alignment decides
+it as for a file read alone.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ import numpy as np
 
 from .combiner import CombinerWeights, TrainConfig, TrainResult
 from .core import (LabelVector, PredictionMatrix, ProbSeries, SampleIds,
-                   _index_of, _of_checked, _rows_in)
+                   _of_checked)
 from .errors import ValidationError
+from .idkeys import _Suite, _encoded, _joined, _keys, _order, _place, _width
 
 __all__ = ["load_prediction_file", "save_prediction_file", "load_label_file",
            "save_label_file", "model_names", "load_matrix", "load_suite",
@@ -103,26 +106,28 @@ def _read_csv(path, column: str, suite=None):
     """Checked ids and values of an ``id,<column>`` CSV.
 
     One plain pass (:func:`_plain_chunks`) either collects the rows
-    (:func:`_plain_rows`) or, given ``suite``, the ids of a suite's first
-    file and the index over them, places each chunk into those rows
-    (:func:`_place`).  A file the pass declines is read once by the row
-    scanner (:func:`_scan_rows`), which decides it, so every error is the
-    scanner's; in a suite, it is placed whole if it holds exactly the
-    suite's ids, and otherwise keeps its own ids for the caller's alignment
-    to report what differs.
+    (:func:`_plain_rows`) or, given a ``suite`` that holds the index of its
+    first file (:class:`_Suite`), places each chunk into it
+    (:func:`_place`); an empty ``suite`` gets the index the pass builds.  A
+    file the pass declines is read once by the row scanner
+    (:func:`_scan_rows`), which decides it, so every error is the scanner's;
+    in a suite, it is placed whole if it holds exactly the suite's ids, and
+    otherwise keeps its own ids for the caller's alignment to report what
+    differs.
     """
     dtype = _COLUMNS[column][3]
+    placing = suite is not None and suite.ids is not None
     with _source(path) as src:
-        read = (_plain_rows(src, column) if suite is None
-                else _place(_plain_chunks(src, column), *suite, dtype))
+        read = (_place(_plain_chunks(src, column), suite, dtype) if placing
+                else _plain_rows(src, column, suite))
         if read is not None:
             return read
         src.seek(0)
         ids, values = _scan_rows(src, path, column)
     ids, values = SampleIds(ids), np.asarray(values, dtype=dtype)
     # Only a file as long as the suite's first can hold exactly its ids.
-    placed = (suite is not None and len(ids) == len(suite[0])
-              and _place([(ids, values)], *suite, dtype))
+    placed = (placing and len(ids) == len(suite.ids)
+              and _place([(ids, values, _encoded(ids))], suite, dtype))
     return placed or (ids, values)
 
 
@@ -134,7 +139,7 @@ def _source(path):
         yield fh if fh.seekable() else io.BytesIO(fh.read())
 
 
-def _plain_rows(fh, column: str):
+def _plain_rows(fh, column: str, suite=None):
     """Checked ids and values of a plain ``id,<column>`` CSV read from
     binary ``fh``, or None, also when an id repeats.
 
@@ -144,46 +149,37 @@ def _plain_rows(fh, column: str):
     holds exactly two fields, so ``csv`` would split it the same way.  None
     also when the scanner would reject the header, a field's length, an id
     or a value, or when no row follows the header.
+
+    The ids' keys (:func:`_keys`), sorted, are the check for a repeated id.
+    None also where they would be too wide (:func:`_width`).  An empty
+    ``suite`` keeps them as its index.
     """
-    ids, values = [], []
+    ids, values, keys, total, longest = [], [], [], 0, 0
     for chunk in _plain_chunks(fh, column):
         if chunk is None:
             return None
+        lens = chunk[2][2]
+        total, longest = total + int(lens.sum()), max(longest, int(lens.max()))
+        width = _width(len(ids) + len(lens), total, longest)
+        if width is None:
+            return None
         ids += chunk[0]
         values.append(chunk[1])
-    # A key-only dict checks for a repeated id: a set of the same ids, or
-    # the check after the tuple and values are built, peaked higher.
-    if not ids or len(dict.fromkeys(ids)) != len(ids):
+        keys.append(_keys(chunk[2], width))
+    if not ids:
         return None
-    return SampleIds(ids), np.concatenate(values)
-
-
-def _place(chunks, ids: SampleIds, rows: dict[str, int], dtype):
-    """``(ids, values)``: the values of ``chunks``, ``(ids, values)``
-    pairs, placed at the rows that ``rows``, the index over ``ids``, gives
-    their ids; None after a None chunk, or unless they hold each id once."""
-    n = len(ids)
-    values, hit, count = np.empty(n, dtype=dtype), np.zeros(n, dtype=bool), 0
-    for chunk in chunks:
-        if chunk is None:
-            return None
-        k = len(chunk[0])
-        if ids[count:count + k] == tuple(chunk[0]):  # rows in the first file's order
-            where = slice(count, count + k)
-        else:
-            where = _rows_in(rows, chunk[0])
-            if (where < 0).any():
-                return None  # an id the suite's first file lacks
-        values[where] = chunk[1]
-        hit[where] = True
-        count += k
-    if count != n or not hit.all():
-        return None  # an id missing or repeated
-    return ids, values
+    keys = _joined(keys, width)
+    order = _order(keys)
+    if order is None:
+        return None  # an id repeats, or two wide ids' sort keys collide
+    ids = SampleIds(ids)
+    if suite is not None:
+        suite.index(ids, keys, order)
+    return ids, np.concatenate(values)
 
 
 def _plain_chunks(fh, column: str):
-    """The ``(ids, values)`` of each chunk of whole lines of a plain
+    """The ``(ids, values, spans)`` of each chunk of whole lines of a plain
     ``id,<column>`` CSV (:func:`_plain_rows`), so every temporary is
     chunk-sized; a last None where the file is found not plain."""
     if fh.readline(64).removeprefix(codecs.BOM_UTF8) != f"id,{column}\n".encode():
@@ -199,8 +195,9 @@ def _plain_chunks(fh, column: str):
 
 
 def _plain_chunk(block: bytes, parse_all, limit: int):
-    """Ids and parsed values of ``block``, whole lines of a plain file
-    without the last ``\\n``, or None if they are not plain."""
+    """Ids, parsed values and the spans (:func:`_keys`) of the ids of
+    ``block``, whole lines of a plain file without the last ``\\n``, or None
+    if they are not plain."""
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
     raw = np.frombuffer(block, dtype=np.uint8)
@@ -218,7 +215,9 @@ def _plain_chunk(block: bytes, parse_all, limit: int):
     except UnicodeDecodeError:
         return None
     part = parse_all(fields[1::2])
-    return None if part is None else (fields[0::2], part)
+    if part is None:
+        return None
+    return fields[0::2], part, (raw, np.concatenate(([0], cuts[1::2] + 1)), sizes[0::2])
 
 
 def _scan_rows(fh, path, column: str) -> tuple[list[str], list]:
@@ -362,19 +361,20 @@ def load_matrix(paths) -> PredictionMatrix:
 
     The join is strict: every file must carry exactly the same id set (in
     any order).  Model names are the file stems.  Given later files, the
-    first file's ids are indexed once, and each later file is placed into
-    that index as it is read, so it holds no ids of its own
-    (:func:`_read_csv`); a lone file is read with no index.  Every file
-    is still read, and a file that fails to parse wins over a join error in
-    an earlier one.
+    first file's ids are indexed once, by the sorted keys of their bytes,
+    and each later file is placed into that index as it is read, so it
+    holds no ids of its own (:func:`_read_csv`); a lone file is read with
+    no index.  Every file is still read, and a file that fails to parse
+    wins over a join error in an earlier one.
     """
     return _load_suite(paths)
 
 
 def load_suite(paths, labels) -> tuple[PredictionMatrix, LabelVector]:
     """:func:`load_matrix` of ``paths``, then the label file ``labels``
-    placed into the same id index: how every command that reads labels,
-    ``eval`` too, pairs them with prediction rows.
+    placed into the same id index, by sorting its own id keys unless its
+    rows come in the first file's order: how every command that reads
+    labels, ``eval`` too, pairs them with prediction rows.
 
     Labels that hold exactly the matrix's ids come back keyed by the
     matrix's own ``ids`` tuple.  Any other label file comes back as
@@ -389,9 +389,11 @@ def _load_suite(paths, labels=None):
     paths = [Path(p) for p in paths]
     if not paths:
         raise ValidationError("no prediction files given")
-    ids, values = _read_csv(paths[0], "prob")
     # The one index, only where a later file or the labels are placed into it.
-    suite = (ids, _index_of(ids)) if len(paths) > 1 or labels is not None else None
+    suite = _Suite() if len(paths) > 1 or labels is not None else None
+    ids, values = _read_csv(paths[0], "prob", suite)
+    if suite is not None and suite.ids is None:  # the row scanner read it
+        suite = suite.index(ids, _keys(_encoded(ids)))  # None: each file alone
     series = _suite_series(_of_checked(ProbSeries, ids, values), paths[1:], suite)
     del values  # the join alone holds them, and frees them once copied
     matrix = PredictionMatrix.from_columns(model_names(paths), series)

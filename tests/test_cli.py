@@ -5,8 +5,10 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -645,6 +647,58 @@ class TestSizeCeilings:
         assert "Traceback" not in proc.stderr
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "as it was\n"
+
+
+_ENDING_SIGNALS = [signal.SIGINT, signal.SIGTERM, signal.SIGHUP]
+
+
+class TestSignals:
+    """SIGINT, SIGTERM or SIGHUP during a write exits 128+N with one stderr
+    line, and the write's temporary files are gone."""
+
+    @pytest.mark.parametrize("signum", _ENDING_SIGNALS, ids=lambda s: s.name)
+    def test_a_signal_mid_write_leaves_no_partial_output(self, tmp_path, signum):
+        out = tmp_path / "D"
+        out.mkdir()
+        (out / "keep.txt").write_text("as it was\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(predfuse.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+
+        def defaults():  # as a shell started in the foreground would leave them
+            for s in _ENDING_SIGNALS:
+                signal.signal(s, signal.SIG_DFL)
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "predfuse", "synth", "--models", "2",
+             "--acc", "0.8,0.9", "--n", "1000000", "--out", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=defaults)
+        try:
+            deadline = time.monotonic() + 120
+            # synth writes every file to a temporary one before any rename
+            while not any(p.name != "keep.txt" for p in out.iterdir()):
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "no temporary file appeared"
+                time.sleep(0.002)
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 128 + signum
+        assert err == f"predfuse: interrupted by {signum.name}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "as it was\n"
+
+    @pytest.mark.parametrize("before", [signal.SIG_DFL, signal.SIG_IGN])
+    def test_the_callers_handlers_are_back_on_return(self, tmp_path, before):
+        kept = {s: signal.signal(s, before) for s in _ENDING_SIGNALS}
+        try:
+            assert main(["synth", "--models", "2", "--acc", "0.8,0.9", "--n", "50",
+                         "--out", str(tmp_path)]) == 0
+            assert [signal.getsignal(s) for s in kept] == [before] * len(kept)
+        finally:
+            for s, handler in kept.items():
+                signal.signal(s, handler)
 
 
 class TestCheckBound:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from predfuse import (AlignmentError, CombinerWeights, ConstraintError, LabelVector,
                       PredictionMatrix, ProbSeries, TrainConfig, ValidationError)
-from predfuse import io_files
+from predfuse import core, idkeys, io_files
 from predfuse.combiner import TrainResult
 from predfuse.io_files import (atomic_write_text, load_label_file, load_matrix,
                                load_prediction_file, load_weights,
@@ -355,7 +355,8 @@ class TestLoadMatrix:
         """K = 4 shuffled 20k-row files and a shuffled label file, loaded
         as one suite: only the first file's ids, one index over them, which
         is also their duplicate check, and the (N, K) values are ever held.
-        The peak bound sits between this (3.56 MB peak, 2.0 MB live) and
+        The peak bound sits between this (3.35 MB peak, 2.0 MB live; 3.56
+        MB with a ``{id: row}`` dict as the index) and
         checking the first file's ids with a set of their own and joining K
         columns by a copy (4.05 MB peak); reading every file with ids of
         its own, then aligning it, peaked at 6.0 MB with 3.3 MB live."""
@@ -366,10 +367,11 @@ class TestLoadMatrix:
         assert peak < 3.8e6 and live < 2.7e6, (peak, live)
 
     def test_a_lone_file_builds_no_index(self, tmp_path):
-        """A shuffled 50k-row file loaded alone: its ids and values, and a
-        key-only dict as their duplicate check, but no ``{id: row}`` index,
+        """A shuffled 50k-row file loaded alone: its ids and values, and
+        their sorted keys as their duplicate check, but no suite index,
         which no later file or label file would be placed into.  This
-        peaks at 6.4 MB; indexing the lone file's ids peaked at 7.8 MB."""
+        peaks at 5.6 MB; a key-only dict as the check peaked at 6.4 MB, and
+        indexing the lone file's ids in a ``{id: row}`` dict at 7.8 MB."""
         _, m = generate(SyntheticSpec(k=2, target_acc=(0.8, 0.9), n=50_000, seed=3))
         rows = np.random.default_rng(7).permutation(m.n_samples)
         save_prediction_file(tmp_path / "M1.csv", ProbSeries(
@@ -412,8 +414,13 @@ class TestLoadMatrix:
 # The differential test of the suite loader: a suite's first file, later
 # files and label file drawn around one id set, then edited towards every
 # file the placing path must leave to the reference's path.
-_SUITE_IDS = st.lists(_PLAIN_IDS | st.sampled_from(["a,b", '"q"', " s ", "x\ry", "n\nl"]),
-                      min_size=1, max_size=6, unique=True)
+# Ids of 7, 8, 9, 15, 16 and 17 UTF-8 bytes, some sharing their first 8,
+# non-ASCII and astral ones among them: keys of one, two and three words.
+_WIDE_IDS = ["abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmno", "abcdefgh" * 2,
+             "abcdefgh" * 2 + "x", "\xe9" * 4, "\xe9" * 4 + "a", "\U0001f600" * 2,
+             "\U0001f600abcd", "abcdefgh\U0001f600", "\U0001f600" * 4 + "a"]
+_SUITE_IDS = st.lists(_PLAIN_IDS | st.sampled_from(["a,b", '"q"', " s ", "x\ry", "n\nl"])
+                      | st.sampled_from(_WIDE_IDS), min_size=1, max_size=6, unique=True)
 _SUITE_EDITS = {
     "missing": lambda ids, cells, j, bad: (ids[:j] + ids[j + 1:], cells[:j] + cells[j + 1:]),
     "extra": lambda ids, cells, j, bad: (ids + ["zz"], cells + cells[-1:]),
@@ -569,6 +576,100 @@ class TestLoadSuite:
         assert u.values.tolist() == [0, 1]
         assert m.values.tolist() == [[0.1, 0.2], [0.9, 0.8]]
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL")
+    @pytest.mark.parametrize("where", [1, 2], ids=["second", "labels"])
+    @pytest.mark.parametrize("old, new", [(None, None), ("b", "b\0"), ("a\0", "a\0\0\0")])
+    def test_ids_that_differ_by_trailing_nuls_stay_apart(self, tmp_path, where, old, new):
+        """``a``, ``a\\0`` and ``a\\0\\0`` are three ids, so the suite
+        is indexed, and a later file or the label file with ``b\\0`` in
+        place of ``b`` is not the first file's ids.  (Keys padded with zero
+        bytes would merge each such pair.)"""
+        ids = ["a", "a\0", "b", "a\0\0"]
+        files = [_suite_bytes(ids, ["0.25", "0.5", "1", "0"], "prob", quote=_quoted),
+                 _suite_bytes(ids[::-1], ["0.5"] * 4, "prob", quote=_quoted),
+                 _suite_bytes(ids[1:] + ids[:1], ["1", "0", "1", "0"], "label",
+                              quote=_quoted)]
+        if old is not None:
+            files[where] = files[where].replace(_quoted(old).encode() + b",",
+                                                _quoted(new).encode() + b",")
+        got = self.agree(tmp_path, files, [False] * 3)
+        if isinstance(got[0], PredictionMatrix):  # not the second file's join error
+            assert (got[1].ids is got[0].ids) == (old is None)
+
+    @pytest.mark.parametrize("where", [1, 2], ids=["second", "labels"])
+    def test_a_wide_id_renamed_within_its_first_word(self, tmp_path, where):
+        """``abcdefghj`` in place of ``abcdefghi``: keys that differ only
+        in their second word."""
+        ids = ["abcdefghi", "abc", "s1", "xyz" * 5]
+        files = [_suite_bytes(ids, ["0.25", "0.5", "1", "0"], "prob"),
+                 _suite_bytes(ids[::-1], ["0.5"] * 4, "prob"),
+                 _suite_bytes(ids[1:] + ids[:1], ["1", "0", "1", "0"], "label")]
+        files[where] = files[where].replace(b"abcdefghi,", b"abcdefghj,")
+        self.agree(tmp_path, files, [False] * 3)
+
+    def test_one_very_long_id_among_short_ones(self, tmp_path):
+        """A shuffled 20k-row suite with one 100,000-character id: keys as
+        wide as that id would take 20k x 100 kB, about 2 GB, so no file of
+        it gets keys, and each is read as a declined file is.  That peaks at
+        8.5 MB; a ``{id: row}`` dict index peaked at 3.7 MB."""
+        ids = [f"s{i:05d}" for i in range(20_000)]
+        ids[123] = "x" * 100_000
+        rng = random.Random(5)
+        files = [_suite_bytes(rng.sample(ids, len(ids)),
+                              [repr(rng.random()) for _ in ids], "prob") for _ in range(3)]
+        files.append(_suite_bytes(rng.sample(ids, len(ids)),
+                                  [rng.choice("01") for _ in ids], "label"))
+        self.agree(tmp_path, files, [False] * 4)
+        paths = [tmp_path / f"f{j}.csv" for j in range(4)]
+        _, peak, _ = traced_peak(lambda: io_files.load_suite(paths[:-1], paths[-1]))
+        assert peak < 10e6, peak
+
+    def test_a_shuffled_suite_is_joined_by_no_dict(self, tmp_path, monkeypatch):
+        """Neither ``core._index_of`` nor ``core._rows_in`` is called: every
+        later file and the label file are placed by their sorted keys."""
+        ids = [f"s{i:03d}" for i in range(200)]
+        orders = [random.Random(j).sample(ids, len(ids)) for j in range(4)]
+        files = [_suite_bytes(order, ["0.25"] * len(ids), "prob") for order in orders[:3]]
+        files.append(_suite_bytes(orders[3], ["1"] * len(ids), "label"))
+        self.agree(tmp_path, files, [False] * 4)
+        calls = []
+        for module in (core, io_files):
+            for name in ("_index_of", "_rows_in"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *args, real=real, name=name: (
+                        calls.append(name), real(*args))[1])
+        paths = [tmp_path / f"f{j}.csv" for j in range(4)]
+        m, u = io_files.load_suite(paths[:-1], paths[-1])
+        assert u.ids is m.ids
+        assert calls == []
+
+
+# Sort keys that collide for every key of more than one word, or for every
+# two keys with the same first word.
+_COLLIDING = {"constant": lambda keys: (keys[:, 0].copy() if keys.shape[1] == 1
+                                        else np.zeros(len(keys), dtype=np.uint64)),
+              "first word": lambda keys: keys[:, 0].copy()}
+
+
+class TestLoadSuiteWhereSortKeysCollide(TestLoadSuite):
+    """Every case of :class:`TestLoadSuite`, with the mix of a key's words
+    that sorts it (``idkeys._ranks``) colliding: a collision only sends a
+    file to the slower route."""
+
+    @pytest.fixture(autouse=True, scope="class", params=sorted(_COLLIDING))
+    def colliding(self, request):
+        with mock.patch.object(idkeys, "_ranks", _COLLIDING[request.param]):
+            yield
+
+    # Hypothesis runs a property test from one class only: this one's own.
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @settings(deadline=None)
+    @given(data=st.data(), chunk=st.sampled_from([1, 7, io_files._CHUNK_BYTES]))
+    def test_agrees_with_each_file_read_on_its_own(self, tmp_path_factory, data, chunk):
+        TestLoadSuite.test_agrees_with_each_file_read_on_its_own.hypothesis.inner_test(
+            self, tmp_path_factory, data, chunk)
+
 
 class TestPassesPerFile:
     """Each file of a suite gets one plain pass; a file that pass declines
@@ -625,6 +726,23 @@ class TestPassesPerFile:
         assert calls == ([(f"f{j}.csv", "plain") for j in range(3)]
                          + ([] if case == "plain" else [("f2.csv", "scan")])
                          + ([("f3.csv", "plain")] if joined else []))
+
+
+    @pytest.mark.parametrize("chunk", [1, 7, io_files._CHUNK_BYTES])
+    def test_a_shuffled_suite_of_wide_ids_is_placed(self, tmp_path, chunk):
+        """Ids of one to three key words, each file in an order of its own:
+        one plain pass per file, and the labels keyed by the matrix ids."""
+        ids = _WIDE_IDS + self.IDS[:20]
+        orders = [random.Random(j).sample(ids, len(ids)) for j in range(4)]
+        files = [_suite_bytes(order, [repr(j / 4)] * len(ids), "prob")
+                 for j, order in enumerate(orders[:3])]
+        files.append(_suite_bytes(orders[3], ["1", "0"] * (len(ids) // 2), "label"))
+        TestLoadSuite.agree(tmp_path, files, [False] * 4, chunk)
+        paths = [tmp_path / f"f{j}.csv" for j in range(4)]
+        with mock.patch.object(io_files, "_CHUNK_BYTES", chunk):
+            (m, u), calls = self.passes(paths[:-1], paths[-1])
+        assert u.ids is m.ids
+        assert calls == [(f"f{j}.csv", "plain") for j in range(4)]
 
 
 class TestWeightsJson:
