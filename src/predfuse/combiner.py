@@ -41,6 +41,7 @@ from .core import (LabelVector, PredictionMatrix, ProbSeries, _of_checked,
                    _sigmoid, _SigmoidBuffers, check_seed, check_threshold,
                    sigmoid)
 from .errors import ConstraintError, ValidationError
+from .idkeys import _canonical
 from .optim import Adam
 
 __all__ = ["CombinerWeights", "TrainConfig", "TrainResult", "predict", "loss",
@@ -130,7 +131,7 @@ def _training_arrays(matrix: PredictionMatrix, labels: LabelVector
                      ) -> tuple[np.ndarray, np.ndarray]:
     # Canonical id ordering: shuffles then depend only on the seed, not on
     # the row order callers happened to use.
-    order = np.asarray(sorted(range(len(matrix.ids)), key=lambda i: matrix.ids[i]))
+    order = _canonical(matrix.ids)
     return matrix.values[order], labels.align_to(matrix.ids)[order]
 
 
@@ -292,10 +293,11 @@ def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
     step gathers its minibatch into buffers allocated once per batch shape
     (a one-byte matrix into one of its own dtype, widened by one copy), and
     updates the parameters in place.  The projection has no branch: the
-    lowest weights seen are kept with ``fmin`` and every weight goes through
-    ``maximum``, which leaves one at or above the floor unchanged.  A step
-    that overflows yields inf or NaN without a numpy warning, and the next
-    step's sigmoid kernel turns that into ``ValidationError``.
+    lowest parameters seen are kept with ``fmin`` and every parameter goes
+    through ``maximum`` with its floor (the shift's is -inf), which leaves
+    one at or above it unchanged.  A step that overflows yields inf or NaN
+    without a numpy warning, and the next step's sigmoid kernel turns that
+    into ``ValidationError``.
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
@@ -311,7 +313,10 @@ def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
     opt = Adam(params.shape, lr=cfg.learning_rate)
     w, b = params[:, :k], params[:, k]
     columns, shifts = params[:, :k, None], params[:, k:]
-    floor, lowest = np.array(floor), np.full((r, k), np.inf)
+    # The shift's floor is -inf, so the projection runs over whole rows of
+    # ``params``, not over a strided view of its weights.
+    floors = np.append(np.full(k, floor), -np.inf)
+    lowest = np.full((r, k + 1), np.inf)
     # Per epoch each run's shuffled labels are gathered once (n floats);
     # x is gathered per step, as a copy of the text model's design matrix
     # per epoch would cost more than it saves.
@@ -340,6 +345,6 @@ def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
                 if widen:
                     np.copyto(buf.x, rows)
                 opt.step(params, _gradient(columns, shifts, ub, cfg.l2, buf))
-                np.fmin(lowest, w, out=lowest)
-                np.maximum(w, floor, out=w)
-    return w, b, (lowest < floor).any(axis=1)
+                np.fmin(lowest, params, out=lowest)
+                np.maximum(params, floors, out=params)
+    return w, b, (lowest[:, :k] < floor).any(axis=1)

@@ -14,6 +14,10 @@ and ``select``, ``column``, ``restrict``, the join (``from_columns``, which
 checks only the model names), the file reader and its suite join,
 ``predict``, ``apply_rule``, ``synth.generate`` and the hybrid's combined
 column build from checked parts through the private ``_of_checked``.
+Every value holds its ids as a ``SampleIds``: their UTF-8 bytes in one
+buffer, decoded only when read, and ordered and paired by sorting those
+bytes (``idkeys``), never through a Python ``sorted`` or an ``{id: row}``
+dict.
 
 The norm operations harden a real-valued series with the ``>= t`` rule first
 and then take the Euclidean norm of the resulting 0/1 vector.  They accept
@@ -23,14 +27,13 @@ raw values.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
 from .errors import AlignmentError, ValidationError
+from .idkeys import SampleIds, _pair, _sort
 
 __all__ = [
     "LabelVector",
@@ -70,62 +73,39 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
-class SampleIds(tuple):
-    """A sample id tuple already known to be non-empty, unique strings.
-
-    Build one only from ids that passed those checks: :func:`_as_ids` and
-    the file reader do.  Every constructor takes it as it is, so the ids of
-    a loaded file are checked once and then travel with the data.
-    """
-
-    __slots__ = ()
-
-
 def _as_ids(ids) -> SampleIds:
-    """``ids`` as checked ids; a :class:`SampleIds` passes as it is."""
-    return ids if isinstance(ids, SampleIds) else _check_ids(ids)
+    """``ids`` as checked ids; a non-empty :class:`SampleIds` passes as it is."""
+    return ids if isinstance(ids, SampleIds) and ids else _check_ids(ids)
 
 
 def _check_ids(ids) -> SampleIds:
-    out = SampleIds(str(i) for i in ids)
-    if not out:
+    strs = [str(i) for i in ids]
+    if not strs:
         raise ValidationError("sample id set is empty")
-    if any(i == "" for i in out):
+    if "" in strs:
         raise ValidationError("sample ids must be non-empty")
-    if len(set(out)) != len(out):
-        dupes = sorted(i for i, n in Counter(out).items() if n > 1)
-        raise ValidationError(f"duplicate sample ids: {dupes[:5]}")
+    out = SampleIds(strs)
+    del strs
+    order, new = _sort(out)
+    if not new.all():  # the first of each repeated id, in sorted order
+        dupes = order[np.flatnonzero(~new[1:] & new[:-1]) + 1]
+        raise ValidationError(f"duplicate sample ids: {[out[i] for i in dupes[:5]]}")
     return out
 
 
-def _index_of(ids) -> dict[str, int]:
-    """``{id: row}`` over ``ids``, which are unique."""
-    return dict(zip(ids, range(len(ids))))
-
-
-def _rows_in(index: dict[str, int], ids) -> np.ndarray:
-    """Row ``index`` gives each of ``ids``, or -1 for an id it lacks."""
-    return np.fromiter(map(index.get, ids, repeat(-1)), np.intp, len(ids))
-
-
-def _rows_of(ids: tuple[str, ...], wanted, missing: str) -> np.ndarray:
+def _rows_of(ids: SampleIds, wanted, missing: str) -> np.ndarray:
     """Row index in ``ids`` of each wanted id; AlignmentError names the first
     missing one.  ``wanted`` holds unique ids, as ``_as_ids`` makes them.
 
-    Rows are paired by an index over one side (:func:`_index_of`) and one
-    lookup of the other side's ids in it (:func:`_rows_in`).  The index is
-    over ``wanted``, so a fold's restrict, which wants a fifth of the rows,
-    indexes only those.  (The file reader pairs a suite's files by sorted
-    keys of their id bytes instead: ``idkeys``.)
+    Rows are paired by sorting the bytes of both id sets together
+    (``idkeys._pair``).  ``wanted`` may be plain strings, which are only
+    encoded, not checked.
     """
-    where = _rows_in(_index_of(wanted), ids)
-    hit = np.flatnonzero(where >= 0)
-    where = where[hit]  # the full scan is freed before rows is made
-    rows = np.full(len(wanted), -1)
-    rows[where] = hit
-    if (rows < 0).any():
-        lost = next(sid for sid, k in zip(wanted, rows) if k < 0)
-        raise AlignmentError(f"{missing} {lost!r}")
+    wanted = wanted if isinstance(wanted, SampleIds) else SampleIds(wanted)
+    rows = _pair(ids, wanted)
+    lost = np.flatnonzero(rows < 0)
+    if lost.size:
+        raise AlignmentError(f"{missing} {wanted[int(lost[0])]!r}")
     return rows
 
 
@@ -150,7 +130,7 @@ def _restrict(value, ids, missing: str, **fields):
 class LabelVector:
     """Binary ground-truth labels keyed by sample id."""
 
-    ids: tuple[str, ...]
+    ids: Sequence[str]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -167,7 +147,7 @@ class LabelVector:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def align_to(self, ids: tuple[str, ...]) -> np.ndarray:
+    def align_to(self, ids: Sequence[str]) -> np.ndarray:
         """Return label values reordered to unique ``ids``; error if the sets differ."""
         return _align_values(self.ids, self.values, ids, what="labels")
 
@@ -180,7 +160,7 @@ class LabelVector:
 class ProbSeries:
     """One model's class-1 probabilities keyed by sample id."""
 
-    ids: tuple[str, ...]
+    ids: Sequence[str]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -195,7 +175,7 @@ class ProbSeries:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def align_to(self, ids: tuple[str, ...]) -> np.ndarray:
+    def align_to(self, ids: Sequence[str]) -> np.ndarray:
         return _align_values(self.ids, self.values, ids, what="probabilities")
 
 
@@ -205,8 +185,9 @@ def _align_values(src_ids, src_values, target_ids, what: str) -> np.ndarray:
     target_ids = _as_ids(target_ids)
     order = _rows_of(src_ids, target_ids, f"{what} are missing sample id")
     if len(target_ids) != len(src_ids):
-        wanted = set(target_ids)
-        extra = next(sid for sid in src_ids if sid not in wanted)
+        paired = np.zeros(len(src_ids), dtype=bool)
+        paired[order] = True
+        extra = src_ids[int(paired.argmin())]  # the first, in row order
         raise AlignmentError(f"{what} have extra sample id {extra!r}")
     return src_values[order]
 
@@ -228,7 +209,7 @@ class PredictionMatrix:
     every column refers to the same sample.
     """
 
-    ids: tuple[str, ...]
+    ids: Sequence[str]
     model_names: tuple[str, ...]
     values: np.ndarray = field(repr=False)
 

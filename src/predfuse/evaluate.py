@@ -25,6 +25,7 @@ from .core import (LabelVector, PredictionMatrix, SampleIds, _as_ids, accuracy,
                    check_seed)
 from .errors import ValidationError
 from .hybrid import _accuracy_at, _check_models, _check_theta, _table, theta_sweep
+from .idkeys import _canonical, _take
 from .rules import apply_rule, check_rule_kind
 
 __all__ = ["RunPlan", "RunRecord", "EvalReport",
@@ -56,16 +57,18 @@ def kfold_split(ids, n_folds: int, seed: int) -> tuple[SampleIds, ...]:
 
     Plain ids are checked as a constructor checks them (``core._as_ids``);
     ids a matrix or label vector carries are not checked again.  Returns
-    one tuple of checked ids per fold, which ``restrict`` takes as they
-    are.  The cuts of unique ids are disjoint, at least two, non-empty, and
-    differ in size by at most one.
+    one ``SampleIds`` of checked ids per fold, which ``restrict`` takes as
+    they are.  The cuts of unique ids are disjoint, at least two,
+    non-empty, and differ in size by at most one.  The canonical order is
+    ``sorted``'s over the ids' ``str``, found by one sort of their bytes.
     """
-    ids = sorted(_as_ids(ids))
+    ids = _as_ids(ids)
     _check_folds(len(ids), n_folds)
     check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     parts = np.array_split(rng.permutation(len(ids)), n_folds)
-    return tuple(SampleIds(map(ids.__getitem__, part.tolist())) for part in parts)
+    order = _canonical(ids)
+    return tuple(_take(ids, order[part]) for part in parts)
 
 
 def _check_folds(n_ids: int, n_folds: int) -> None:

@@ -1,18 +1,274 @@
-"""Sample ids as sorted uint64 keys: how the files of a suite are joined.
+"""Sample ids as UTF-8 bytes: how they are held, ordered and paired.
 
-A key holds an id's UTF-8 bytes, padded to whole 8-byte words
-(:func:`_keys`), and is cut by the file reader (``io_files``) straight from
-the bytes it reads.  A suite's index is its first prediction file's keys
-and the permutation that sorts them (:class:`_Suite`).  A later file lines
-up with the first when its own keys, sorted, equal the first file's sorted
-keys; its values then go to the first file's rows through the two sorting
-permutations (:func:`_place`): a sort-merge join (Kim et al., "Sort vs.
-Hash Revisited", PVLDB 2009).
+:class:`SampleIds` holds a set of checked ids as their UTF-8 bytes, end to
+end in one uint8 buffer, plus one offsets array; an id is decoded only when
+it is read.  Ids are ordered and paired by sorting those bytes, never by a
+Python ``sorted`` or a ``{id: row}`` dict:
+
+- :func:`_sort` sorts ids as Python sorts their ``str`` (code-point order
+  is UTF-8 byte order), seven bytes a round, and marks equal neighbours;
+  ``kfold_split`` and the trainer's canonical order use it, and so do the
+  duplicate check of the constructors and :func:`_pair`, which pairs two id
+  sets (``restrict``, ``align_to``, ``from_columns``) by sorting them
+  together.
+- The file reader (``io_files``) joins a suite's files by uint64 keys cut
+  straight from the bytes it reads.  A key holds an id's bytes, padded to
+  whole 8-byte words (:func:`_keys`).  A suite's index is its first
+  prediction file's keys and the permutation that sorts them
+  (:class:`_Suite`).  A later file lines up with the first when its own
+  keys, sorted, equal the first file's sorted keys; its values then go to
+  the first file's rows through the two sorting permutations
+  (:func:`_place`): a sort-merge join (Kim et al., "Sort vs. Hash
+  Revisited", PVLDB 2009).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
+
+# Rows decoded at once when ids are iterated or written.
+_DECODE_ROWS = 4096
+# Sort keys a round of :func:`_sort` after the first cuts at most, unless
+# one per id still tied is more, and at most 64 per id: ``lexsort`` takes
+# about 3 kB per key.
+_ROUND_WORDS = 1 << 12
+
+
+class SampleIds(Sequence):
+    """Sample ids already known to be non-empty, unique strings.
+
+    Id i is ``raw[offsets[i]:offsets[i + 1]]``: its UTF-8 bytes, a lone
+    surrogate kept with ``surrogatepass``, in one uint8 buffer.  Built
+    from strings (``SampleIds(strs)``) only where those passed the checks:
+    ``core._as_ids`` and the file reader build them, and every constructor
+    takes them as they are, so the ids of a loaded file are checked once
+    and then travel with the data.
+
+    Indexing, iteration, ``len``, ``repr``, equality, ordering and hashing
+    are those of the tuple of its ids; a slice is a ``SampleIds`` too.
+    """
+
+    __slots__ = ("_raw", "_offsets")
+
+    def __init__(self, ids=()):
+        data = [sid.encode("utf-8", "surrogatepass") for sid in ids]
+        lens = np.fromiter(map(len, data), np.intp, len(data))
+        self._raw = np.frombuffer(b"".join(data), dtype=np.uint8)
+        self._offsets = _offsets(lens)
+
+    @classmethod
+    def _of(cls, raw: np.ndarray, offsets: np.ndarray) -> "SampleIds":
+        out = object.__new__(cls)
+        out._raw, out._offsets = raw, offsets
+        return out
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _take(self, np.arange(len(self))[i])
+        i = range(len(self))[i]  # an IndexError, or i from the end
+        start, stop = self._offsets[i:i + 2]
+        return self._raw[start:stop].tobytes().decode("utf-8", "surrogatepass")
+
+    def __iter__(self):
+        for _, chunk in _decoded(self):
+            yield from chunk
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __eq__(self, other):
+        if isinstance(other, SampleIds):
+            return self is other or (np.array_equal(self._offsets, other._offsets)
+                                     and np.array_equal(self._raw, other._raw))
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __lt__(self, other):
+        return _compared(tuple.__lt__, self, other)
+
+    def __le__(self, other):
+        return _compared(tuple.__le__, self, other)
+
+    def __gt__(self, other):
+        return _compared(tuple.__gt__, self, other)
+
+    def __ge__(self, other):
+        return _compared(tuple.__ge__, self, other)
+
+    def __add__(self, other):
+        return tuple(self) + other
+
+    def __radd__(self, other):
+        return other + tuple(self)
+
+
+def _compared(op, ids: SampleIds, other):
+    if not isinstance(other, (SampleIds, tuple)):
+        return NotImplemented
+    return op(tuple(ids), tuple(other))
+
+
+def _offsets(lens: np.ndarray) -> np.ndarray:
+    """The offsets of ids of byte lengths ``lens`` laid end to end."""
+    offsets = np.zeros(len(lens) + 1, dtype=np.intp)
+    np.cumsum(lens, out=offsets[1:])
+    return offsets
+
+
+def _spans(ids: SampleIds):
+    """``(raw, starts, lengths)`` of the bytes of ``ids``: what :func:`_keys`
+    and :func:`_sort` read."""
+    return ids._raw, ids._offsets[:-1], np.diff(ids._offsets)
+
+
+def _joined(parts) -> SampleIds:
+    """The ids of ``parts``, ``(raw, lengths)`` of ids end to end in
+    ``raw``, as one :class:`SampleIds`."""
+    raws, lens = zip(*parts)
+    return SampleIds._of(np.concatenate(raws), _offsets(np.concatenate(lens)))
+
+
+def _take(ids: SampleIds, rows: np.ndarray) -> SampleIds:
+    """The ids at ``rows`` of ``ids``, in that order, with a buffer of
+    their own, gathered :data:`_DECODE_ROWS` ids at a time."""
+    starts = ids._offsets[:-1][rows]
+    lens = ids._offsets[1:][rows] - starts
+    offsets, raw = _offsets(lens), ids._raw
+    out = np.empty(offsets[-1], dtype=np.uint8)
+    for row in range(0, len(lens), _DECODE_ROWS):
+        end = min(row + _DECODE_ROWS, len(lens))
+        at = np.repeat(starts[row:end] - offsets[row:end], lens[row:end])
+        at += np.arange(offsets[row], offsets[end])  # the bytes' sources
+        out[offsets[row]:offsets[end]] = raw[at]
+    return SampleIds._of(out, offsets)
+
+
+def _decoded(ids: SampleIds):
+    """``(rows, strs)`` of each run of :data:`_DECODE_ROWS` rows of ``ids``,
+    ``rows`` its slice, the run decoded at once: joined by ``\\n`` and
+    split, unless an id of it holds one."""
+    for row in range(0, len(ids), _DECODE_ROWS):
+        rows = slice(row, row + _DECODE_ROWS)
+        offsets = ids._offsets[rows.start:rows.stop + 1]
+        data, cuts = ids._raw[offsets[0]:offsets[-1]], offsets[1:-1] - offsets[0]
+        if 10 in data:  # one by one
+            data, ends = data.tobytes(), [0, *cuts.tolist(), data.size]
+            yield rows, [data[a:b].decode("utf-8", "surrogatepass")
+                         for a, b in zip(ends[:-1], ends[1:])]
+            continue
+        text = np.full(data.size + cuts.size, 10, dtype=np.uint8)
+        keep = np.ones(text.size, dtype=bool)
+        keep[cuts + np.arange(cuts.size)] = False
+        text[keep] = data
+        yield rows, text.tobytes().decode("utf-8", "surrogatepass").split("\n")
+
+
+def _same_rows(ids: SampleIds, row: int, spans) -> bool:
+    """Whether the ids at ``spans``, end to end in their buffer, are rows
+    ``row`` on of ``ids``, which holds at least as many after it."""
+    raw, _, lens = spans
+    offsets = ids._offsets[row:row + len(lens) + 1]
+    return (np.array_equal(np.diff(offsets), lens)
+            and np.array_equal(ids._raw[offsets[0]:offsets[-1]], raw))
+
+
+def _words(raw: np.ndarray) -> np.ndarray:
+    """The 8 bytes from each byte of ``raw`` on, padded with 0x00, as
+    big-endian words."""
+    padded = np.concatenate((raw, np.zeros(8, dtype=np.uint8)))
+    return np.ndarray(padded.size - 7, ">u8", padded, 0, (1,))
+
+
+def _round_keys(words, starts, left) -> np.ndarray:
+    """The sort keys (:func:`_sort`) of ids whose bytes still to sort start
+    at ``starts`` in :func:`_words` ``words`` and number ``left``, an array
+    this overwrites; an id with none left has key 0."""
+    key = words[starts].byteswap(inplace=True).view(np.uint64)
+    np.clip(left, 0, 8, out=left)
+    drop = np.minimum(left, 7)
+    drop *= -8
+    drop += 64  # the bits of the bytes after the id, of the first seven
+    # (numpy shifts a uint64 by 64 to 0)
+    key >>= drop.view(np.uint64)
+    key <<= drop.view(np.uint64)
+    key |= left.view(np.uint64)
+    return key
+
+
+def _sort(*parts: SampleIds) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, new)`` of the ids of ``parts``, numbered end to end: the
+    permutation that sorts them as Python sorts their ``str``, and for each
+    sorted position whether its id differs from the one before it.
+
+    Each round sorts the ids still tied by their next seven bytes, padded
+    with 0x00 and read as a big-endian word whose last byte is the count of
+    bytes left, capped at 8.  So ``a`` sorts before ``a\\0`` (fewer bytes
+    left) and before ``ab`` (0x00 before ``b``), and only ids that share
+    their first 7j bytes and run past them take round j.  Round 0 is one
+    ``argsort`` of keys cut from each part's own buffer; later ones keep
+    their groups in place, and read as many windows of seven bytes at once
+    as :data:`_ROUND_WORDS` allows for the ids still tied, so two equal
+    long ids take a few rounds, not one per seven bytes.
+    """
+    key = np.concatenate([_round_keys(_words(p._raw), p._offsets[:-1],
+                                      np.diff(p._offsets)) for p in parts])
+    order = key.argsort()
+    key.sort()
+    tied = key[1:] == key[:-1]
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = ~tied
+    todo, skip = _tied(tied, key), 7
+    if todo.size:
+        raw, starts, lens = _spans(_joined((p._raw, np.diff(p._offsets)) for p in parts))
+        words = _words(raw)
+    while todo.size:
+        rows = order[todo]
+        ahead = skip + 7 * np.arange(min(64, max(1, _ROUND_WORDS // rows.size)))
+        key = _round_keys(words, np.minimum(starts[rows, None] + ahead, raw.size),
+                          lens[rows, None] - ahead)
+        group = np.cumsum(new[todo], dtype=np.uint64)
+        order[todo] = rows[perm := np.lexsort(np.vstack((key.T[::-1], group)))]
+        key = key[perm]
+        tied = (key[1:] == key[:-1]).all(axis=1)
+        tied &= ~new[todo[1:]]  # a group's first stays first
+        new[todo[1:]] = ~tied
+        todo, skip = todo[_tied(tied, key[:, -1])], skip + 7 * ahead.size
+    return order, new
+
+
+def _tied(tied, key) -> np.ndarray:
+    """The sorted positions, ``tied[i]`` where sort ``key`` i equals the
+    next, that are tied to a neighbour and have bytes left."""
+    more = np.zeros(key.size, dtype=bool)
+    more[1:] = tied
+    more[:-1] |= tied
+    at = np.flatnonzero(more)
+    return at[(key[at] & np.uint64(0xFF)) == 8]  # equal ids have none
+
+
+def _pair(ids: SampleIds, wanted: SampleIds) -> np.ndarray:
+    """The row in ``ids`` of each of ``wanted``, or -1 where ``ids`` lacks
+    it; each side holds unique ids.  Both are sorted together
+    (:func:`_sort`), so an id of both is two equal neighbours."""
+    order, new = _sort(ids, wanted)
+    at = np.flatnonzero(~new)
+    a, b = order[at - 1], order[at]
+    rows = np.full(len(wanted), -1)
+    rows[np.maximum(a, b) - len(ids)] = np.minimum(a, b)
+    return rows
+
+
+def _canonical(ids: SampleIds) -> np.ndarray:
+    """The permutation that sorts ``ids`` as ``sorted`` sorts their ``str``."""
+    return _sort(ids)[0]
+
 
 # _TAIL[j] is a little-endian word whose bytes after its first j are 0xFF.
 _TAIL = np.array([(1 << 64) - (1 << 8 * j) for j in range(9)], dtype="<u8")
@@ -51,7 +307,7 @@ def _width(n: int, total: int, longest: int) -> int | None:
     return width if width * n <= 8 * n + total else None
 
 
-def _joined(parts, width: int) -> np.ndarray:
+def _joined_keys(parts, width: int) -> np.ndarray:
     """The keys ``parts`` as one array ``width`` words wide: narrower ones
     get the 0xFF words :func:`_keys` would have cut at that width."""
     keys, row = np.full((sum(map(len, parts)), width), _TAIL[0]), 0
@@ -59,13 +315,6 @@ def _joined(parts, width: int) -> np.ndarray:
         keys[row:row + len(part), :part.shape[1]] = part
         row += len(part)
     return keys
-
-
-def _encoded(ids):
-    """The spans (:func:`_keys`) of ``ids``' UTF-8 bytes, end to end."""
-    data = [sid.encode() for sid in ids]
-    lens = np.fromiter(map(len, data), np.intp, len(data))
-    return np.frombuffer(b"".join(data), dtype=np.uint8), np.cumsum(lens) - lens, lens
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so a multiply by it loses no bits
@@ -110,9 +359,10 @@ class _Suite:
 
 
 def _place(chunks, suite: _Suite, dtype):
-    """``(ids, values)``: the values of ``chunks``, ``(ids, values, spans)``
-    triples, in the row order of ``suite``'s first file; None after a None
-    chunk, or unless they hold each of its ids once.
+    """``(ids, values)``: the values of ``chunks``, ``(values, spans)``
+    pairs with the spans of their ids end to end, in the row order of
+    ``suite``'s first file; None after a None chunk, or unless they hold
+    each of its ids once.
 
     Rows in the first file's order are taken as they come.  From the first
     chunk out of that order on, each chunk's keys are cut; at the end,
@@ -124,11 +374,11 @@ def _place(chunks, suite: _Suite, dtype):
     for chunk in chunks:
         if chunk is None:
             return None
-        chunk_ids, part, spans = chunk
-        k = len(chunk_ids)
+        part, spans = chunk
+        k = len(part)
         if count + k > n:
             return None  # more rows than the suite's first file
-        if own is None and ids[count:count + k] == tuple(chunk_ids):
+        if own is None and _same_rows(ids, count, spans):
             pass  # rows in the first file's order
         elif spans[2].max() > 8 * width:
             return None  # an id longer than any of the first file's

@@ -10,11 +10,11 @@ Every prediction or label CSV is read by one function, ``_read_csv``.  A
 plain file (no quotes, ``\\r`` or NUL, one comma on every line) is parsed
 in one pass over its bytes.  A file that pass declines is read once by the
 ``csv`` row scanner, which decides it, so every error, with its
-``file:line``, is the scanner's.  Either way the ids and values come back
-checked, and the loaders check neither again.
+``file:line``, is the scanner's.  Either way the ids (a ``SampleIds``, one
+UTF-8 buffer) and values come back checked; the loaders check neither again.
 
-A plain file's ids are also cut into uint64 keys from the bytes that pass
-reads (``idkeys``), and sorted: two equal neighbours are a repeated id.  A
+A plain file keeps its ids' bytes and cuts them into uint64 keys
+(``idkeys``), which are sorted: two equal neighbours are a repeated id.  A
 suite (``load_matrix``, ``load_suite``), named by its files' stems, keeps
 those of its first prediction file as its one id index, only where a later
 prediction file or the label file is placed into it.  Such a file is placed
@@ -38,7 +38,6 @@ import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import fields
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,8 @@ from .combiner import CombinerWeights, TrainConfig, TrainResult
 from .core import (LabelVector, PredictionMatrix, ProbSeries, SampleIds,
                    _of_checked)
 from .errors import ValidationError
-from .idkeys import _Suite, _encoded, _joined, _keys, _order, _place, _width
+from .idkeys import (_Suite, _decoded, _joined, _joined_keys, _keys, _order,
+                     _place, _spans, _width)
 
 __all__ = ["load_prediction_file", "save_prediction_file", "load_label_file",
            "save_label_file", "model_names", "load_matrix", "load_suite",
@@ -127,7 +127,7 @@ def _read_csv(path, column: str, suite=None):
     ids, values = SampleIds(ids), np.asarray(values, dtype=dtype)
     # Only a file as long as the suite's first can hold exactly its ids.
     placed = (placing and len(ids) == len(suite.ids)
-              and _place([(ids, values, _encoded(ids))], suite, dtype))
+              and _place([(values, _spans(ids))], suite, dtype))
     return placed or (ids, values)
 
 
@@ -150,36 +150,36 @@ def _plain_rows(fh, column: str, suite=None):
     also when the scanner would reject the header, a field's length, an id
     or a value, or when no row follows the header.
 
-    The ids' keys (:func:`_keys`), sorted, are the check for a repeated id.
-    None also where they would be too wide (:func:`_width`).  An empty
-    ``suite`` keeps them as its index.
+    The ids are kept as bytes; their keys (:func:`_keys`), sorted, are the
+    check for a repeated id.  None also where they would be too wide
+    (:func:`_width`).  An empty ``suite`` keeps them as its index.
     """
-    ids, values, keys, total, longest = [], [], [], 0, 0
+    ids, values, keys, count, total, longest = [], [], [], 0, 0, 0
     for chunk in _plain_chunks(fh, column):
         if chunk is None:
             return None
-        lens = chunk[2][2]
+        part, (raw, starts, lens) = chunk
         total, longest = total + int(lens.sum()), max(longest, int(lens.max()))
-        width = _width(len(ids) + len(lens), total, longest)
+        width = _width(count := count + len(lens), total, longest)
         if width is None:
             return None
-        ids += chunk[0]
-        values.append(chunk[1])
-        keys.append(_keys(chunk[2], width))
+        ids.append((raw, lens))
+        values.append(part)
+        keys.append(_keys((raw, starts, lens), width))
     if not ids:
         return None
-    keys = _joined(keys, width)
+    keys = _joined_keys(keys, width)
     order = _order(keys)
     if order is None:
         return None  # an id repeats, or two wide ids' sort keys collide
-    ids = SampleIds(ids)
+    ids = _joined(ids)
     if suite is not None:
         suite.index(ids, keys, order)
     return ids, np.concatenate(values)
 
 
 def _plain_chunks(fh, column: str):
-    """The ``(ids, values, spans)`` of each chunk of whole lines of a plain
+    """The ``(values, spans)`` of each chunk of whole lines of a plain
     ``id,<column>`` CSV (:func:`_plain_rows`), so every temporary is
     chunk-sized; a last None where the file is found not plain."""
     if fh.readline(64).removeprefix(codecs.BOM_UTF8) != f"id,{column}\n".encode():
@@ -195,9 +195,9 @@ def _plain_chunks(fh, column: str):
 
 
 def _plain_chunk(block: bytes, parse_all, limit: int):
-    """Ids, parsed values and the spans (:func:`_keys`) of the ids of
-    ``block``, whole lines of a plain file without the last ``\\n``, or None
-    if they are not plain."""
+    """Parsed values and the spans (:func:`_keys`) of the ids of ``block``,
+    whole lines of a plain file without the last ``\\n``, or None if they
+    are not plain.  The spans hold the ids' bytes end to end."""
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
     raw = np.frombuffer(block, dtype=np.uint8)
@@ -217,7 +217,9 @@ def _plain_chunk(block: bytes, parse_all, limit: int):
     part = parse_all(fields[1::2])
     if part is None:
         return None
-    return fields[0::2], part, (raw, np.concatenate(([0], cuts[1::2] + 1)), sizes[0::2])
+    lens = sizes[0::2].copy()
+    ids = np.frombuffer("".join(fields[0::2]).encode(), dtype=np.uint8)
+    return part, (ids, np.cumsum(lens) - lens, lens)
 
 
 def _scan_rows(fh, path, column: str) -> tuple[list[str], list]:
@@ -259,17 +261,18 @@ def _scan_rows(fh, path, column: str) -> tuple[list[str], list]:
     return ids, values
 
 
-def _csv_writer(path, column: str, ids, cells):
+def _csv_writer(path, column: str, ids: SampleIds, values: np.ndarray):
     """A ``write(fh)`` for :func:`_atomic_write` that writes an
     ``id,<column>`` CSV a few thousand rows at a time, so no copy of the
-    whole text is held."""
+    whole text, and no list of all its ids or values, is held: each chunk's
+    ids are decoded at once and its values formatted from one list."""
     def write(fh):
-        quoted = map(_id_field, ids) if any(map(_QUOTED.search, ids)) else ids
-        rows = (f"{sid},{cell}\n" for sid, cell in zip(quoted, cells))
         fh.write(f"id,{column}\n")
         try:
-            while chunk := "".join(islice(rows, 4096)):
-                fh.write(chunk)
+            for rows, chunk in _decoded(ids):
+                quoted = map(_id_field, chunk) if _QUOTED.search("".join(chunk)) else chunk
+                fh.write("".join([f"{sid},{cell!r}\n" for sid, cell
+                                  in zip(quoted, values[rows].tolist())]))
         except UnicodeEncodeError as exc:  # a lone surrogate in an id
             bad = exc.object[exc.start:exc.end]
             raise ValidationError(f"{path}: sample id holds {bad!r}, "
@@ -325,10 +328,6 @@ _COLUMNS = {"prob": (_prob, _probs, "prediction", np.float64),
             "label": (_label, _labels, "label", np.int64)}
 
 
-def _prob_csv(path, ids, probs):
-    return _csv_writer(path, "prob", ids, map(repr, map(float, probs)))
-
-
 def _label_csv(path, labels: LabelVector):
     return _csv_writer(path, "label", labels.ids, labels.values)
 
@@ -339,7 +338,7 @@ def load_prediction_file(path) -> ProbSeries:
 
 
 def save_prediction_file(path, series: ProbSeries) -> None:
-    _atomic_write([_prob_csv(path, series.ids, series.values)])
+    _atomic_write([_csv_writer(path, "prob", series.ids, series.values)])
 
 
 def load_label_file(path) -> LabelVector:
@@ -393,7 +392,7 @@ def _load_suite(paths, labels=None):
     suite = _Suite() if len(paths) > 1 or labels is not None else None
     ids, values = _read_csv(paths[0], "prob", suite)
     if suite is not None and suite.ids is None:  # the row scanner read it
-        suite = suite.index(ids, _keys(_encoded(ids)))  # None: each file alone
+        suite = suite.index(ids, _keys(_spans(ids)))  # None: each file alone
     series = _suite_series(_of_checked(ProbSeries, ids, values), paths[1:], suite)
     del values  # the join alone holds them, and frees them once copied
     matrix = PredictionMatrix.from_columns(model_names(paths), series)
@@ -419,7 +418,8 @@ def save_matrix_files(out_dir, matrix: PredictionMatrix,
     is renamed into place, so a failed write leaves no new file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    writes = [_prob_csv(out_dir / f"{name}.csv", matrix.ids, matrix.values[:, j])
+    writes = [_csv_writer(out_dir / f"{name}.csv", "prob", matrix.ids,
+                          matrix.values[:, j])
               for j, name in enumerate(matrix.model_names)]
     if labels is not None:
         writes.append(_label_csv(out_dir / "labels.csv", labels))

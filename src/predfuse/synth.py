@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LabelVector, PredictionMatrix, _of_checked, _sigmoid,
-                   _SigmoidBuffers, check_seed, harden)
+from .core import (LabelVector, PredictionMatrix, SampleIds, _of_checked,
+                   _sigmoid, _SigmoidBuffers, check_seed, harden)
 from .errors import ValidationError
 
 __all__ = ["SyntheticSpec", "inv_norm_cdf", "generate", "estimate_error_correlation"]
@@ -144,13 +144,24 @@ def _box_muller(rng: np.random.Generator, size: int) -> np.ndarray:
     return out[:size]
 
 
+def _decimal_ids(n: int) -> SampleIds:
+    """The ids ``0`` to ``n - 1`` in decimal, zero-padded to one width,
+    built as the bytes of their digits."""
+    width = len(str(n - 1))
+    digits, rest = np.empty((n, width), dtype=np.uint8), np.arange(n)
+    for d in range(width - 1, -1, -1):
+        np.add(rest % 10, ord("0"), out=digits[:, d], casting="unsafe")
+        rest //= 10
+    return SampleIds._of(digits.reshape(-1),
+                         np.arange(0, (n + 1) * width, width, dtype=np.intp))
+
+
 def generate(spec: SyntheticSpec) -> tuple[LabelVector, PredictionMatrix]:
     """Draw one suite, in place (see the module docstring); identical specs
     give bit-identical outputs."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n, k = spec.n, spec.k
-    width = len(str(n - 1))
-    labels = LabelVector(tuple(f"{j:0{width}d}" for j in range(n)),
+    labels = LabelVector(_decimal_ids(n),
                          (rng.random(n) < spec.balance).astype(np.int64))
     s = np.multiply(labels.values, 2.0)
     s -= 1.0

@@ -80,12 +80,12 @@ def make_labels(values, ids=None) -> LabelVector:
     return LabelVector(ids, values)
 
 
-def write_shuffled_suite(root) -> list[str]:
-    """A K = 4, 20k-row synthetic suite written to ``root``, each prediction
-    file and ``labels.csv`` in a row order of its own; the prediction files'
-    paths."""
+def write_shuffled_suite(root, n: int = 20_000, k: int = 4) -> list[str]:
+    """A ``k``-model, ``n``-row synthetic suite written to ``root``, each
+    prediction file and ``labels.csv`` in a row order of its own; the
+    prediction files' paths."""
     labels, matrix = generate(SyntheticSpec(
-        k=4, target_acc=(0.8, 0.82, 0.85, 0.9), n=20_000, seed=3))
+        k=k, target_acc=(0.8, 0.82, 0.85, 0.9, 0.87)[:k], n=n, seed=3))
     rng = np.random.default_rng(7)
     paths = [str(root / f"{name}.csv") for name in matrix.model_names]
     for j, path in enumerate(paths):

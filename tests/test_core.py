@@ -1,3 +1,4 @@
+import gc
 import math
 from unittest import mock
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from predfuse import (AlignmentError, CombinerWeights, LabelVector,
                       PredictionMatrix, ProbSeries, ValidationError, accuracy,
-                      core, harden, predict, sigmoid, thresholded_distance,
-                      thresholded_norm)
+                      core, harden, idkeys, predict, sigmoid,
+                      thresholded_distance, thresholded_norm)
 from predfuse.cli import main
 from predfuse.io_files import (load_label_file, load_matrix,
                                load_prediction_file, save_label_file,
@@ -380,6 +381,78 @@ class TestRowsOf:
             got = _outcome(lambda: series.align_to(probe))
             with mock.patch.object(core, "_rows_of", _rows_of_reference):
                 assert _outcome(lambda: series.align_to(probe)) == got
+
+
+# Ids whose order is easy to get wrong from bytes: a prefix, a trailing NUL,
+# a shared 7-, 14- and 999-byte prefix, two-, three- and four-byte UTF-8 and
+# a lone surrogate, which UTF-8 with surrogatepass puts between U+D7FF and
+# U+E000, as code-point order does.
+_TRICKY_IDS = ["a", "ab", "a\0", "a\0\0", "b", "\x7f", "\xe9", "\u07ff",
+               "\ud7ff", "\ud800", "\udfff", "\ue000", "\uffff", "\U00010000",
+               "\U0001f600", "\ud800\udc00", "abcdefg", "abcdefg\0",
+               "abcdefgh", "abcdefghij", "abcdefghijklmn", "abcdefghijklmno",
+               "abcdefghijklm\0", "p" * 999 + "b", "p" * 999 + "a", "p" * 999,
+               "p" * 999 + "\0x"]
+
+
+class TestSampleIds:
+    def test_behaves_as_the_tuple_of_its_ids(self):
+        ids = ProbSeries(("a", "b"), [0.5, 0.25]).ids
+        assert ids == ("a", "b") and ("a", "b") == ids
+        assert ids != ("b", "a") and ids != ["a", "b"]
+        assert (ids[0], ids[1], ids[-1], ids[-2]) == ("a", "b", "b", "a")
+        for i in (2, -3):
+            with pytest.raises(IndexError):
+                ids[i]
+        assert ids[1:] == ("b",) and ids[::-1] == ("b", "a") and ids[:0] == ()
+        assert list(ids) == ["a", "b"] and len(ids) == 2
+        assert repr(ids) == "('a', 'b')" and repr(ids[:1]) == "('a',)"
+        assert "a" in ids and "c" not in ids and ids.index("b") == 1
+        assert ids < ("a", "c") and ids > ("a",) and ids <= ids[:] >= ids
+        assert hash(ids) == hash(("a", "b")) and ids + ("c",) == ("a", "b", "c")
+        with pytest.raises(ValidationError, match="^sample id set is empty$"):
+            ProbSeries(ids[:0], [])
+
+    def test_holds_one_buffer_not_one_str_per_id(self):
+        ids = ProbSeries([f"s{i}" for i in range(1000)], [0.5] * 1000).ids
+        held = gc.get_referents(ids)
+        assert held and not any(isinstance(obj, (str, tuple)) for obj in held)
+
+    @pytest.mark.parametrize("n", [1, 4096, 4097, 9000])
+    def test_reads_back_every_id(self, n):
+        """Runs of ids are decoded at once, joined by ``\\n``; a run where
+        an id holds one is decoded id by id."""
+        want = [_TRICKY_IDS[i % len(_TRICKY_IDS)] + str(i) for i in range(n)]
+        want[n // 2] += "\nx"
+        ids = core.SampleIds(want)
+        assert list(ids) == want and [ids[i] for i in range(n)] == want
+        assert list(ids[::-3]) == want[::-3] and ids[::-3] == tuple(want[::-3])
+
+    def test_canonical_order_is_sorted_order(self):
+        ids = core.SampleIds(_TRICKY_IDS[::-1])
+        assert [ids[i] for i in idkeys._canonical(ids)] == sorted(_TRICKY_IDS)
+        # So many tied ids that a round reads one window of each
+        many = [f"sample_prefix_{i}" for i in range(9000, 0, -1)]
+        ids = core.SampleIds(many)
+        assert [ids[i] for i in idkeys._canonical(ids)] == sorted(many)
+
+    def test_pairs_ids_by_sorting_them_together(self):
+        series = ProbSeries(_TRICKY_IDS, np.arange(len(_TRICKY_IDS)) / 32)
+        back = sorted(_TRICKY_IDS)
+        assert series.align_to(back).tolist() == [
+            _TRICKY_IDS.index(sid) / 32 for sid in back]
+        with pytest.raises(AlignmentError, match="^probabilities have extra "
+                                                 "sample id 'a'$"):
+            series.align_to(back[1:])
+
+    @settings(deadline=None)
+    @given(st.lists(st.text(st.sampled_from("ab\0\xe9\ud800\U0001f600"),
+                            min_size=1, max_size=20), min_size=1, max_size=30))
+    def test_sorts_as_python_sorts(self, strs):
+        order, new = idkeys._sort(core.SampleIds(strs))
+        got = [strs[i] for i in order]
+        assert got == sorted(strs)
+        assert new.tolist() == [i == 0 or got[i] != got[i - 1] for i in range(len(got))]
 
 
 class TestAlignTo:

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predfuse import (AlignmentError, BoundReport, ConstraintError,
                       EvalReport, HybridConfig, HybridMethod, LabelVector, NNMethod,
@@ -47,6 +50,21 @@ class TestKFold:
         for fold in split:  # restrict takes them without a check
             assert type(fold) is core.SampleIds
             assert matrix.restrict(fold).ids is fold
+
+    @settings(deadline=None)
+    @given(st.lists(st.text(st.sampled_from("ab\0\xe9\ud800\U0001f600"),
+                            min_size=1, max_size=12),
+                    min_size=2, max_size=40, unique=True),
+           st.integers(0, 2**32))
+    def test_cuts_a_shuffle_of_the_sorted_ids(self, ids, seed):
+        """The canonical order is ``sorted``'s over the ids, found by
+        sorting their bytes."""
+        n_folds = 2 + seed % (len(ids) - 1)
+        ranked = sorted(ids)
+        perm = np.random.Generator(np.random.PCG64(seed)).permutation(len(ids))
+        want = tuple(tuple(ranked[i] for i in part)
+                     for part in np.array_split(perm, n_folds))
+        assert kfold_split(ids, n_folds, seed) == want
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match=r"^duplicate sample ids: \['a'\]$"):

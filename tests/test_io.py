@@ -366,6 +366,17 @@ class TestLoadMatrix:
         assert u.ids is m.ids
         assert peak < 3.8e6 and live < 2.7e6, (peak, live)
 
+    def test_a_loaded_suite_holds_its_ids_as_one_buffer(self, tmp_path):
+        """K = 5 shuffled 50k-row files and a shuffled label file: once
+        loaded, the suite holds its values and labels (2.4 MB) and its ids
+        as one UTF-8 buffer plus offsets (0.65 MB), 3.05 MB live.  One
+        ``str`` per id in a tuple held 5.54 MB live."""
+        paths = write_shuffled_suite(tmp_path, n=50_000, k=5)
+        (m, u), peak, live = traced_peak(
+            lambda: io_files.load_suite(paths, tmp_path / "labels.csv"))
+        assert u.ids is m.ids and m.values.shape == (50_000, 5)
+        assert live < 4.0e6, (live, peak)
+
     def test_a_lone_file_builds_no_index(self, tmp_path):
         """A shuffled 50k-row file loaded alone: its ids and values, and
         their sorted keys as their duplicate check, but no suite index,
@@ -879,6 +890,21 @@ class TestAtomicWrites:
         with pytest.raises(ValidationError,
                            match=r"out\.csv: sample id holds '\\ud800'"):
             save(tmp_path / "out.csv", ids)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("build", [
+        lambda ids: ProbSeries(ids, [0.5] * len(ids)),
+        lambda ids: LabelVector(ids, [1] * len(ids)).restrict(ids[::-1])])
+    def test_unencodable_id_error_text(self, tmp_path, build):
+        """The ids keep a lone surrogate as their bytes (``surrogatepass``)
+        and decode it back, so the write fails on it as on the ``str``."""
+        ids = [f"s{i}" for i in range(5000)] + ["a\U000103ffb", "x\udc80\ud800"]
+        value, path = build(ids), tmp_path / "out.csv"
+        save = save_label_file if isinstance(value, LabelVector) else save_prediction_file
+        with pytest.raises(ValidationError) as err:
+            save(path, value)
+        assert str(err.value) == (f"{path}: sample id holds '\\udc80\\ud800', "
+                                  "which UTF-8 cannot encode")
         assert list(tmp_path.iterdir()) == []
 
     def test_no_partial_file_on_failure(self, tmp_path):

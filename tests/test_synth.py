@@ -148,15 +148,18 @@ class TestGenerate:
         assert matrix.values.shape == (50_000, 5)
         assert peak < 1.0e7, peak
 
-    def test_ids_checked_once(self, monkeypatch):
+    def test_ids_are_built_checked(self, monkeypatch):
+        """The zero-padded decimal ids are built as their bytes, unique by
+        construction, so no check of them runs."""
         checks = []
         real = core._check_ids
         monkeypatch.setattr(core, "_check_ids",
                             lambda ids: checks.append(ids) or real(ids))
         labels, matrix = generate(SyntheticSpec(k=2, target_acc=(0.7, 0.8),
                                                 n=12, seed=1))
-        assert len(checks) == 1
-        assert matrix.ids is labels.ids
+        assert checks == []
+        assert type(labels.ids) is core.SampleIds and matrix.ids is labels.ids
+        assert labels.ids == tuple(f"{j:02d}" for j in range(12))
 
     def test_coin_flip_target(self):
         labels, m = generate(SyntheticSpec(k=1, target_acc=(0.5,), n=20_000,
