@@ -314,8 +314,10 @@ def _fit(x: np.ndarray, u: np.ndarray, w: np.ndarray, b: float, cfgs,
     w, b = params[:, :k], params[:, k]
     columns, shifts = params[:, :k, None], params[:, k:]
     # The shift's floor is -inf, so the projection runs over whole rows of
-    # ``params``, not over a strided view of its weights.
-    floors = np.append(np.full(k, floor), -np.inf)
+    # ``params``, not over a strided view of its weights.  ``floors`` has the
+    # shape of ``params``: a broadcast row doubles ``maximum``'s cost at R = 1.
+    floors = np.full((r, k + 1), floor)
+    floors[:, k] = -np.inf
     lowest = np.full((r, k + 1), np.inf)
     # Per epoch each run's shuffled labels are gathered once (n floats);
     # x is gathered per step, as a copy of the text model's design matrix
