@@ -41,7 +41,7 @@ from .core import (LabelVector, PredictionMatrix, ProbSeries, _of_checked,
                    _sigmoid, _SigmoidBuffers, check_seed, check_threshold,
                    sigmoid)
 from .errors import ConstraintError, ValidationError
-from .idkeys import _canonical
+from .idkeys import _sort
 from .optim import Adam
 
 __all__ = ["CombinerWeights", "TrainConfig", "TrainResult", "predict", "loss",
@@ -131,7 +131,7 @@ def _training_arrays(matrix: PredictionMatrix, labels: LabelVector
                      ) -> tuple[np.ndarray, np.ndarray]:
     # Canonical id ordering: shuffles then depend only on the seed, not on
     # the row order callers happened to use.
-    order = _canonical(matrix.ids)
+    order = _sort(matrix.ids)[0]
     return matrix.values[order], labels.align_to(matrix.ids)[order]
 
 

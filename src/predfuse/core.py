@@ -15,9 +15,9 @@ checks only the model names), the file reader and its suite join,
 ``predict``, ``apply_rule``, ``synth.generate`` and the hybrid's combined
 column build from checked parts through the private ``_of_checked``.
 Every value holds its ids as a ``SampleIds``: their UTF-8 bytes in one
-buffer, decoded only when read, and ordered and paired by sorting those
-bytes (``idkeys``), never through a Python ``sorted`` or an ``{id: row}``
-dict.
+buffer, decoded only when read, paired through an index of keys cut from
+those bytes and ordered by sorting them (``idkeys``), never through a
+Python ``sorted`` or an ``{id: row}`` dict.
 
 The norm operations harden a real-valued series with the ``>= t`` rule first
 and then take the Euclidean norm of the resulting 0/1 vector.  They accept
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError, ValidationError
-from .idkeys import SampleIds, _pair, _sort
+from .idkeys import SampleIds, _Index, _pair, _sort
 
 __all__ = [
     "LabelVector",
@@ -86,10 +86,11 @@ def _check_ids(ids) -> SampleIds:
         raise ValidationError("sample ids must be non-empty")
     out = SampleIds(strs)
     del strs
-    order, new = _sort(out)
-    if not new.all():  # the first of each repeated id, in sorted order
-        dupes = order[np.flatnonzero(~new[1:] & new[:-1]) + 1]
-        raise ValidationError(f"duplicate sample ids: {[out[i] for i in dupes[:5]]}")
+    if _Index().build(out) is None:  # a repeat, or no index: sort to tell
+        order, new = _sort(out)
+        if not new.all():  # the first of each repeated id, in sorted order
+            dupes = order[np.flatnonzero(~new[1:] & new[:-1]) + 1]
+            raise ValidationError(f"duplicate sample ids: {[out[i] for i in dupes[:5]]}")
     return out
 
 
@@ -97,7 +98,7 @@ def _rows_of(ids: SampleIds, wanted, missing: str) -> np.ndarray:
     """Row index in ``ids`` of each wanted id; AlignmentError names the first
     missing one.  ``wanted`` holds unique ids, as ``_as_ids`` makes them.
 
-    Rows are paired by sorting the bytes of both id sets together
+    Rows are found through an index of the bytes of ``ids``
     (``idkeys._pair``).  ``wanted`` may be plain strings, which are only
     encoded, not checked.
     """

@@ -25,7 +25,7 @@ from .core import (LabelVector, PredictionMatrix, SampleIds, _as_ids, accuracy,
                    check_seed)
 from .errors import ValidationError
 from .hybrid import _accuracy_at, _check_models, _check_theta, _table, theta_sweep
-from .idkeys import _canonical, _take
+from .idkeys import _sort, _take
 from .rules import apply_rule, check_rule_kind
 
 __all__ = ["RunPlan", "RunRecord", "EvalReport",
@@ -67,7 +67,7 @@ def kfold_split(ids, n_folds: int, seed: int) -> tuple[SampleIds, ...]:
     check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     parts = np.array_split(rng.permutation(len(ids)), n_folds)
-    order = _canonical(ids)
+    order = _sort(ids)[0]
     return tuple(_take(ids, order[part]) for part in parts)
 
 

@@ -2,24 +2,25 @@
 
 :class:`SampleIds` holds a set of checked ids as their UTF-8 bytes, end to
 end in one uint8 buffer, plus one offsets array; an id is decoded only when
-it is read.  Ids are ordered and paired by sorting those bytes, never by a
+it is read.  Ids are ordered and paired through those bytes, never by a
 Python ``sorted`` or a ``{id: row}`` dict:
 
 - :func:`_sort` sorts ids as Python sorts their ``str`` (code-point order
-  is UTF-8 byte order), seven bytes a round, and marks equal neighbours;
-  ``kfold_split`` and the trainer's canonical order use it, and so do the
-  duplicate check of the constructors and :func:`_pair`, which pairs two id
-  sets (``restrict``, ``align_to``, ``from_columns``) by sorting them
-  together.
-- The file reader (``io_files``) joins a suite's files by uint64 keys cut
-  straight from the bytes it reads.  A key holds an id's bytes, padded to
-  whole 8-byte words (:func:`_keys`).  A suite's index is its first
-  prediction file's keys and the permutation that sorts them
-  (:class:`_Suite`).  A later file lines up with the first when its own
-  keys, sorted, equal the first file's sorted keys; its values then go to
-  the first file's rows through the two sorting permutations
-  (:func:`_place`): a sort-merge join (Kim et al., "Sort vs. Hash
-  Revisited", PVLDB 2009).
+  is UTF-8 byte order) by windows of seven bytes (:func:`_windows`), only
+  ids still tied taking the next round; ``kfold_split`` and the trainer's
+  canonical order use it, and so do the fallbacks below.
+- An :class:`_Index` of unique ids holds their keys (:func:`_keys`: the
+  bytes padded with 0xFF to whole 8-byte words, equal exactly when the ids
+  are) sorted by a one-word mix of each key (:func:`_ranks`).  Another
+  set's ids are found in it by a binary search of their mixes, and each
+  match is then compared word for word.  The constructors' duplicate
+  check, ``restrict``, ``align_to`` and ``from_columns`` (:func:`_pair`)
+  and the file reader's suite join (:func:`_place`) all go through it.  A
+  set gets no index where two of its mixes are equal, as a repeated id's
+  are, or where its keys would be far wider than its ids (one very long id
+  among short ones): the constructors and :func:`_pair` then sort
+  instead, and the reader reads the file as if its plain pass had
+  declined it.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-# Rows decoded at once when ids are iterated or written.
+# Ids decoded, gathered, cut into keys or placed at once.
 _DECODE_ROWS = 4096
-# Sort keys a round of :func:`_sort` after the first cuts at most, unless
-# one per id still tied is more, and at most 64 per id: ``lexsort`` takes
-# about 3 kB per key.
+# Windows a round of :func:`_sort` after the first cuts at most, unless one
+# per id still tied is more, and at most 64 per id: ``lexsort`` takes about
+# 3 kB per key.
 _ROUND_WORDS = 1 << 12
 
 
@@ -122,17 +123,11 @@ def _offsets(lens: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def _spans(ids: SampleIds):
-    """``(raw, starts, lengths)`` of the bytes of ``ids``: what :func:`_keys`
-    and :func:`_sort` read."""
-    return ids._raw, ids._offsets[:-1], np.diff(ids._offsets)
-
-
 def _joined(parts) -> SampleIds:
-    """The ids of ``parts``, ``(raw, lengths)`` of ids end to end in
-    ``raw``, as one :class:`SampleIds`."""
-    raws, lens = zip(*parts)
-    return SampleIds._of(np.concatenate(raws), _offsets(np.concatenate(lens)))
+    """The ids of the :class:`SampleIds` ``parts``, end to end, as one."""
+    return SampleIds._of(np.concatenate([p._raw for p in parts]),
+                         _offsets(np.concatenate([p._offsets[1:] - p._offsets[:-1]
+                                                  for p in parts])))
 
 
 def _take(ids: SampleIds, rows: np.ndarray) -> SampleIds:
@@ -167,13 +162,12 @@ def _decoded(ids: SampleIds):
         yield rows, text.decode("utf-8", "surrogatepass").split("\n")
 
 
-def _same_rows(ids: SampleIds, row: int, spans) -> bool:
-    """Whether the ids at ``spans``, end to end in their buffer, are rows
-    ``row`` on of ``ids``, which holds at least as many after it."""
-    raw, _, lens = spans
-    offsets = ids._offsets[row:row + len(lens) + 1]
-    return (np.array_equal(np.diff(offsets), lens)
-            and np.array_equal(ids._raw[offsets[0]:offsets[-1]], raw))
+def _same_rows(ids: SampleIds, row: int, part: SampleIds) -> bool:
+    """Whether the ids of ``part``, whose buffer holds nothing else, are
+    rows ``row`` on of ``ids``, which holds at least as many after it."""
+    offsets = ids._offsets[row:row + len(part) + 1]
+    return (np.array_equal(offsets - offsets[0], part._offsets)
+            and np.array_equal(ids._raw[offsets[0]:offsets[-1]], part._raw))
 
 
 def _words(raw: np.ndarray) -> np.ndarray:
@@ -183,10 +177,12 @@ def _words(raw: np.ndarray) -> np.ndarray:
     return np.ndarray(padded.size - 7, ">u8", padded, 0, (1,))
 
 
-def _round_keys(words, starts, left) -> np.ndarray:
-    """The sort keys (:func:`_sort`) of ids whose bytes still to sort start
-    at ``starts`` in :func:`_words` ``words`` and number ``left``, an array
-    this overwrites; an id with none left has key 0."""
+def _windows(words, starts, left) -> np.ndarray:
+    """The window of each id whose bytes from the window on start at
+    ``starts`` in :func:`_words` ``words`` and number ``left``, an array
+    this overwrites: the first seven of those bytes, padded with 0x00, as
+    a big-endian word whose last byte is ``left``, capped at 8.  An id
+    with none left has window 0."""
     key = words[starts].byteswap(inplace=True).view(np.uint64)
     np.clip(left, 0, 8, out=left)
     drop = np.minimum(left, 7)
@@ -199,37 +195,32 @@ def _round_keys(words, starts, left) -> np.ndarray:
     return key
 
 
-def _sort(*parts: SampleIds) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, new)`` of the ids of ``parts``, numbered end to end: the
-    permutation that sorts them as Python sorts their ``str``, and for each
-    sorted position whether its id differs from the one before it.
+def _sort(ids: SampleIds) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, new)``: the permutation that sorts ``ids`` as Python sorts
+    their ``str``, and for each sorted position whether its id differs
+    from the one before it.
 
-    Each round sorts the ids still tied by their next seven bytes, padded
-    with 0x00 and read as a big-endian word whose last byte is the count of
-    bytes left, capped at 8.  So ``a`` sorts before ``a\\0`` (fewer bytes
-    left) and before ``ab`` (0x00 before ``b``), and only ids that share
-    their first 7j bytes and run past them take round j.  Round 0 is one
-    ``argsort`` of keys cut from each part's own buffer; later ones keep
-    their groups in place, and read as many windows of seven bytes at once
-    as :data:`_ROUND_WORDS` allows for the ids still tied, so two equal
-    long ids take a few rounds, not one per seven bytes.
+    Each round sorts the ids still tied by their next window
+    (:func:`_windows`).  So ``a`` sorts before ``a\\0`` (fewer bytes left)
+    and before ``ab`` (0x00 before ``b``), and only ids that share their
+    first 7j bytes and run past them take round j.  Round 0 is one
+    ``argsort``; later ones keep their groups in place, and read as many
+    windows at once as :data:`_ROUND_WORDS` allows for the ids still tied,
+    so two equal long ids take a few rounds, not one per seven bytes.
     """
-    key = np.concatenate([_round_keys(_words(p._raw), p._offsets[:-1],
-                                      np.diff(p._offsets)) for p in parts])
+    words, starts, lens = _words(ids._raw), ids._offsets[:-1], np.diff(ids._offsets)
+    key = _windows(words, starts, lens.copy())
     order = key.argsort()
-    key.sort()
+    key = key[order]
     tied = key[1:] == key[:-1]
     new = np.ones(key.size, dtype=bool)
     new[1:] = ~tied
     todo, skip = _tied(tied, key), 7
-    if todo.size:
-        raw, starts, lens = _spans(_joined((p._raw, np.diff(p._offsets)) for p in parts))
-        words = _words(raw)
     while todo.size:
         rows = order[todo]
         ahead = skip + 7 * np.arange(min(64, max(1, _ROUND_WORDS // rows.size)))
-        key = _round_keys(words, np.minimum(starts[rows, None] + ahead, raw.size),
-                          lens[rows, None] - ahead)
+        key = _windows(words, np.minimum(starts[rows, None] + ahead, ids._raw.size),
+                       lens[rows, None] - ahead)
         group = np.cumsum(new[todo], dtype=np.uint64)
         order[todo] = rows[perm := np.lexsort(np.vstack((key.T[::-1], group)))]
         key = key[perm]
@@ -241,7 +232,7 @@ def _sort(*parts: SampleIds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tied(tied, key) -> np.ndarray:
-    """The sorted positions, ``tied[i]`` where sort ``key`` i equals the
+    """The sorted positions, ``tied[i]`` where window ``key`` i equals the
     next, that are tied to a neighbour and have bytes left."""
     more = np.zeros(key.size, dtype=bool)
     more[1:] = tied
@@ -250,67 +241,35 @@ def _tied(tied, key) -> np.ndarray:
     return at[(key[at] & np.uint64(0xFF)) == 8]  # equal ids have none
 
 
-def _pair(ids: SampleIds, wanted: SampleIds) -> np.ndarray:
-    """The row in ``ids`` of each of ``wanted``, or -1 where ``ids`` lacks
-    it; each side holds unique ids.  Both are sorted together
-    (:func:`_sort`), so an id of both is two equal neighbours."""
-    order, new = _sort(ids, wanted)
-    at = np.flatnonzero(~new)
-    a, b = order[at - 1], order[at]
-    rows = np.full(len(wanted), -1)
-    rows[np.maximum(a, b) - len(ids)] = np.minimum(a, b)
-    return rows
-
-
-def _canonical(ids: SampleIds) -> np.ndarray:
-    """The permutation that sorts ``ids`` as ``sorted`` sorts their ``str``."""
-    return _sort(ids)[0]
-
-
 # _TAIL[j] is a little-endian word whose bytes after its first j are 0xFF.
 _TAIL = np.array([(1 << 64) - (1 << 8 * j) for j in range(9)], dtype="<u8")
 
 
-def _keys(spans, width: int | None = None):
-    """The (n, ``width``) uint64 keys of the ids at ``spans``, ``(raw,
-    starts, lengths)`` of their UTF-8 bytes in the uint8 array ``raw``.
-    ``width`` defaults to the fewest words that hold the longest id, and the
-    keys then to None where :func:`_width` finds them too wide.
-
-    A key is an id's bytes padded with 0xFF to ``width`` 8-byte words, read
-    as little-endian words.  No UTF-8 text holds 0xFF, so two ids have
-    equal keys exactly when they are equal: ``a`` and ``a\\0`` too, which
-    zero padding would merge.
-    """
-    raw, starts, lens = spans
-    width = width or _width(len(lens), int(lens.sum()), int(lens.max()))
-    if width is None:
-        return None
-    padded = np.concatenate((raw, np.full(8 * width, 0xFF, dtype=np.uint8)))
-    words = np.ndarray(padded.size - 7, "<u8", padded, 0, (1,))  # one per byte
-    keys = np.empty((len(starts), width), dtype="<u8")
-    for j in range(width):
-        np.bitwise_or(words[starts + 8 * j], _TAIL[np.clip(lens - 8 * j, 0, 8)],
-                      out=keys[:, j])
-    return keys
-
-
-def _width(n: int, total: int, longest: int) -> int | None:
-    """Words per key of ``n`` ids of ``total`` bytes, the longest
-    ``longest``; None where the keys would take more than 64 bytes per id
-    plus 8 per id byte, as one very long id among short ones does.  The
-    reader then reads the file as if its plain pass had declined it."""
+def _width(ids: SampleIds) -> int | None:
+    """Words per key (:func:`_keys`) of ``ids``: the fewest that hold the
+    longest, or None where the keys would take more than 64 bytes per id
+    plus 8 per id byte, as one very long id among short ones does."""
+    longest = int((ids._offsets[1:] - ids._offsets[:-1]).max())
     width = -(-longest // 8)
-    return width if width * n <= 8 * n + total else None
+    return width if width * len(ids) <= 8 * len(ids) + int(ids._offsets[-1]) else None
 
 
-def _joined_keys(parts, width: int) -> np.ndarray:
-    """The keys ``parts`` as one array ``width`` words wide: narrower ones
-    get the 0xFF words :func:`_keys` would have cut at that width."""
-    keys, row = np.full((sum(map(len, parts)), width), _TAIL[0]), 0
-    for part in parts:
-        keys[row:row + len(part), :part.shape[1]] = part
-        row += len(part)
+def _keys(ids: SampleIds, width: int) -> np.ndarray:
+    """The (n, ``width``) uint64 keys of ``ids``: each id's first
+    ``8 * width`` bytes, padded with 0xFF to ``width`` 8-byte words, read
+    as little-endian words.  No UTF-8 text holds 0xFF, so two ids that fit
+    have equal keys exactly when they are equal: ``a`` and ``a\\0`` too,
+    which zero padding would merge.  Cut :data:`_DECODE_ROWS` ids at a
+    time."""
+    padded = np.concatenate((ids._raw, np.full(8 * width, 0xFF, dtype=np.uint8)))
+    words = np.ndarray(padded.size - 7, "<u8", padded, 0, (1,))  # one per byte
+    keys = np.empty((len(ids), width), dtype="<u8")
+    for row in range(0, len(ids), _DECODE_ROWS):
+        offsets = ids._offsets[row:row + _DECODE_ROWS + 1]
+        starts, lens = offsets[:-1], offsets[1:] - offsets[:-1]
+        for j in range(width):
+            np.bitwise_or(words[starts + 8 * j], _TAIL[np.clip(lens - 8 * j, 0, 8)],
+                          out=keys[row:row + len(lens), j])
     return keys
 
 
@@ -320,78 +279,104 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so a multiply by it loses no bits
 def _ranks(keys: np.ndarray) -> np.ndarray:
     """The sort key of each row of ``keys``: its one word, or a
     multiply-xor of its words, which rows that differ may share."""
-    ranks = keys[:, 0].copy()
+    ranks = keys[:, 0]
     for j in range(1, keys.shape[1]):
-        ranks *= _MIX
+        ranks = ranks * _MIX
         ranks ^= keys[:, j]
     return ranks
 
 
-def _order(keys: np.ndarray):
-    """The permutation that sorts ``keys`` by their sort keys
-    (:func:`_ranks`), or None where two of those are equal: a repeated id,
-    or two wide ids whose sort keys collide."""
-    ranks = _ranks(keys)
-    order = ranks.argsort()
-    ranks = ranks[order]
-    return None if (ranks[1:] == ranks[:-1]).any() else order
+class _Index:
+    """An index of unique ids: the ids, their keys (:func:`_keys`) sorted
+    by their sort keys (:func:`_ranks`), those sort keys, and the
+    permutation that sorts them; empty until :meth:`build`.  A suite's is
+    its first prediction file's."""
 
+    ids = keys = ranks = order = None
 
-class _Suite:
-    """A suite's id index: its first prediction file's ids, their keys in
-    file order and :func:`_order` of them; None until that file is read,
-    and for good if its ids get no index."""
-
-    ids = keys = order = None
-
-    def index(self, ids, keys, order=None) -> "_Suite | None":
-        """This suite, now the index of ``ids`` by their ``keys``, or None
-        where those are None or :func:`_order` finds no order of them."""
-        if order is None and keys is not None:
-            order = _order(keys)
-        if order is None:
+    def build(self, ids: SampleIds) -> "_Index | None":
+        """This, now the index of ``ids``, or None where their keys would
+        be too wide (:func:`_width`) or two of their sort keys are equal:
+        a repeated id, or two wide ids whose sort keys collide."""
+        width = _width(ids)
+        if width is None:
             return None
-        self.ids, self.keys, self.order = ids, keys, order
+        keys = _keys(ids, width)
+        order = _ranks(keys).argsort()
+        keys = keys[order]
+        ranks = _ranks(keys)
+        if (ranks[1:] == ranks[:-1]).any():
+            return None
+        self.ids, self.keys, self.ranks, self.order = ids, keys, ranks, order
         return self
 
+    def rows(self, ids: SampleIds) -> np.ndarray:
+        """The row of each of ``ids`` in the index, or -1 where it lacks
+        it: its sort key is found by a binary search, theirs sorted first
+        so that each search starts where the last ended, and its key is
+        then compared word for word.  An id longer than the index's keys
+        hold is lacking."""
+        width = self.keys.shape[1]
+        keys = _keys(ids, width)
+        order = _ranks(keys).argsort()
+        keys = keys[order]
+        at = np.searchsorted(self.ranks, _ranks(keys))
+        np.minimum(at, len(self.ranks) - 1, out=at)
+        lost = (self.keys[at] != keys).any(axis=1)
+        lost |= ((ids._offsets[1:] - ids._offsets[:-1]) > 8 * width)[order]
+        rows = np.empty(len(ids), dtype=np.intp)
+        rows[order] = np.where(lost, -1, self.order[at])
+        return rows
 
-def _place(chunks, suite: _Suite, dtype):
-    """``(ids, values)``: the values of ``chunks``, ``(values, spans)``
-    pairs with the spans of their ids end to end, in the row order of
-    ``suite``'s first file; None after a None chunk, or unless they hold
-    each of its ids once.
 
-    Rows in the first file's order are taken as they come.  From the first
-    chunk out of that order on, each chunk's keys are cut; at the end,
-    sorted, they must equal the first file's keys sorted.
+def _pair(ids: SampleIds, wanted: SampleIds) -> np.ndarray:
+    """The row in ``ids`` of each of ``wanted``, or -1 where ``ids`` lacks
+    it; each side holds unique ids.  Found through the index of ``ids``
+    (:class:`_Index`), or, where they get none, by sorting both sides
+    together (:func:`_sort`), so an id of both is two equal neighbours."""
+    index = _Index().build(ids)
+    if index is not None:
+        return index.rows(wanted)
+    order, new = _sort(_joined([ids, wanted]))
+    at = np.flatnonzero(~new)
+    a, b = order[at - 1], order[at]
+    rows = np.full(len(wanted), -1)
+    rows[np.maximum(a, b) - len(ids)] = np.minimum(a, b)
+    return rows
+
+
+def _place(chunks, index: _Index, dtype):
+    """``(ids, values)``: the values of ``chunks``, ``(values, ids)`` pairs,
+    in the row order of ``index``'s ids; None after a None chunk, or unless
+    they hold each of those ids once.
+
+    A chunk whose ids are the index's next rows is taken as it comes.  The
+    others are held until they hold :data:`_DECODE_ROWS` ids, or the last
+    chunk is read, and then placed by the rows of their ids
+    (:meth:`_Index.rows`).
     """
-    ids, keys = suite.ids, suite.keys
-    (n, width), own, count = keys.shape, None, 0
-    values = np.empty(n, dtype=dtype)
+    ids, count, held, waiting = index.ids, 0, [], 0
+    values, seen = np.empty(len(ids), dtype=dtype), np.zeros(len(ids), dtype=bool)
     for chunk in chunks:
         if chunk is None:
             return None
-        part, spans = chunk
-        k = len(part)
-        if count + k > n:
-            return None  # more rows than the suite's first file
-        if own is None and _same_rows(ids, count, spans):
-            pass  # rows in the first file's order
-        elif spans[2].max() > 8 * width:
-            return None  # an id longer than any of the first file's
+        part, part_ids = chunk
+        if count + len(part) > len(ids):
+            return None  # more rows than the index
+        if _same_rows(ids, count, part_ids):
+            values[count:count + len(part)] = part
+            seen[count:count + len(part)] = True
         else:
-            if own is None:
-                own = keys.copy()  # its rows so far are the first file's
-            own[count:count + k] = _keys(spans, width)
-        values[count:count + k] = part
-        count += k
-    if count != n:
-        return None  # an id missing
-    if own is None:
-        return ids, values
-    order = _ranks(own).argsort()
-    if not np.array_equal(own[order], keys[suite.order]):
-        return None  # an id the first file lacks, or one repeated
-    placed = np.empty(n, dtype=dtype)
-    placed[suite.order] = values[order]
-    return ids, placed
+            held.append(chunk)
+            waiting += len(part)
+        count += len(part)
+        if held and (waiting >= _DECODE_ROWS or count == len(ids)):
+            rows = index.rows(_joined([i for _, i in held]))
+            if rows.min() < 0:
+                return None  # an id the index lacks
+            values[rows] = np.concatenate([p for p, _ in held])
+            seen[rows] = True
+            held, waiting = [], 0
+    if count != len(ids) or not seen.all():
+        return None  # an id missing, or one repeated
+    return ids, values

@@ -13,17 +13,19 @@ in one pass over its bytes.  A file that pass declines is read once by the
 ``file:line``, is the scanner's.  Either way the ids (a ``SampleIds``, one
 UTF-8 buffer) and values come back checked; the loaders check neither again.
 
-A plain file keeps its ids' bytes and cuts them into uint64 keys
-(``idkeys``), which are sorted: two equal neighbours are a repeated id.  A
-suite (``load_matrix``, ``load_suite``), named by its files' stems, keeps
-those of its first prediction file as its one id index, only where a later
-prediction file or the label file is placed into it.  Such a file is placed
-chunk by chunk as it is read, rows in the first file's order as they come,
-any other order by sorting its own keys, so it holds no ids, set or dict of
-its own.  The join writes each file's values into one (N, K) array.  A file
-the placing pass declines (not plain, or not exactly the first file's ids)
-is read by the row scanner, and the join or the caller's alignment decides
-it as for a file read alone.
+A plain file keeps its ids' bytes and indexes them by keys cut from those
+bytes (``idkeys``), sorted: two equal neighbours are a repeated id (or two
+wide ids whose sort keys collide), and the row scanner then decides the
+file, as it does where the keys would be far wider than the ids.  A suite
+(``load_matrix``, ``load_suite``), named by its files' stems, keeps the
+index of its first prediction file, only where a later prediction file or
+the label file is placed into it.  Such a file is placed chunk by chunk as
+it is read, rows in the first file's order as they come, any other by
+finding its ids in the index, so it holds no ids, set or dict of its own.
+The join writes each file's values into one (N, K) array.  A file the
+placing pass declines (not plain, or not exactly the first file's ids) is
+read by the row scanner, and the join or the caller's alignment decides it
+as for a file read alone.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ from .combiner import CombinerWeights, TrainConfig, TrainResult
 from .core import (LabelVector, PredictionMatrix, ProbSeries, SampleIds,
                    _of_checked)
 from .errors import ValidationError
-from .idkeys import (_Suite, _decoded, _joined, _joined_keys, _keys, _order,
-                     _place, _spans, _width)
+from .idkeys import _decoded, _Index, _joined, _offsets, _place
 
 __all__ = ["load_prediction_file", "save_prediction_file", "load_label_file",
            "save_label_file", "model_names", "load_matrix", "load_suite",
@@ -107,7 +108,7 @@ def _read_csv(path, column: str, suite=None):
 
     One plain pass (:func:`_plain_chunks`) either collects the rows
     (:func:`_plain_rows`) or, given a ``suite`` that holds the index of its
-    first file (:class:`_Suite`), places each chunk into it
+    first file (:class:`_Index`), places each chunk into it
     (:func:`_place`); an empty ``suite`` gets the index the pass builds.  A
     file the pass declines is read once by the row scanner
     (:func:`_scan_rows`), which decides it, so every error is the scanner's;
@@ -127,7 +128,7 @@ def _read_csv(path, column: str, suite=None):
     ids, values = SampleIds(ids), np.asarray(values, dtype=dtype)
     # Only a file as long as the suite's first can hold exactly its ids.
     placed = (placing and len(ids) == len(suite.ids)
-              and _place([(values, _spans(ids))], suite, dtype))
+              and _place([(values, ids)], suite, dtype))
     return placed or (ids, values)
 
 
@@ -150,36 +151,26 @@ def _plain_rows(fh, column: str, suite=None):
     also when the scanner would reject the header, a field's length, an id
     or a value, or when no row follows the header.
 
-    The ids are kept as bytes; their keys (:func:`_keys`), sorted, are the
-    check for a repeated id.  None also where they would be too wide
-    (:func:`_width`).  An empty ``suite`` keeps them as its index.
+    The ids are kept as bytes; their index (:class:`_Index`) is the check
+    for a repeated id, and None also where they get none.  An empty
+    ``suite`` keeps it.
     """
-    ids, values, keys, count, total, longest = [], [], [], 0, 0, 0
+    ids, values = [], []
     for chunk in _plain_chunks(fh, column):
         if chunk is None:
             return None
-        part, (raw, starts, lens) = chunk
-        total, longest = total + int(lens.sum()), max(longest, int(lens.max()))
-        width = _width(count := count + len(lens), total, longest)
-        if width is None:
-            return None
-        ids.append((raw, lens))
-        values.append(part)
-        keys.append(_keys((raw, starts, lens), width))
+        values.append(chunk[0])
+        ids.append(chunk[1])
     if not ids:
         return None
-    keys = _joined_keys(keys, width)
-    order = _order(keys)
-    if order is None:
-        return None  # an id repeats, or two wide ids' sort keys collide
     ids = _joined(ids)
-    if suite is not None:
-        suite.index(ids, keys, order)
+    if (suite or _Index()).build(ids) is None:
+        return None  # an id repeats, or the ids get no index
     return ids, np.concatenate(values)
 
 
 def _plain_chunks(fh, column: str):
-    """The ``(values, spans)`` of each chunk of whole lines of a plain
+    """The ``(values, ids)`` of each chunk of whole lines of a plain
     ``id,<column>`` CSV (:func:`_plain_rows`), so every temporary is
     chunk-sized; a last None where the file is found not plain."""
     if fh.readline(64).removeprefix(codecs.BOM_UTF8) != f"id,{column}\n".encode():
@@ -195,9 +186,9 @@ def _plain_chunks(fh, column: str):
 
 
 def _plain_chunk(block: bytes, parse_all, limit: int):
-    """Parsed values and the spans (:func:`_keys`) of the ids of ``block``,
-    whole lines of a plain file without the last ``\\n``, or None if they
-    are not plain.  The spans hold the ids' bytes end to end."""
+    """Parsed values and the ids (a ``SampleIds`` whose buffer holds them
+    alone) of ``block``, whole lines of a plain file without the last
+    ``\\n``, or None if they are not plain."""
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
     raw = np.frombuffer(block, dtype=np.uint8)
@@ -217,9 +208,8 @@ def _plain_chunk(block: bytes, parse_all, limit: int):
     part = parse_all(fields[1::2])
     if part is None:
         return None
-    lens = sizes[0::2].copy()
     ids = np.frombuffer("".join(fields[0::2]).encode(), dtype=np.uint8)
-    return part, (ids, np.cumsum(lens) - lens, lens)
+    return part, SampleIds._of(ids, _offsets(sizes[0::2]))
 
 
 def _scan_rows(fh, path, column: str) -> tuple[list[str], list]:
@@ -371,12 +361,12 @@ def load_matrix(paths) -> PredictionMatrix:
 
 def load_suite(paths, labels) -> tuple[PredictionMatrix, LabelVector]:
     """:func:`load_matrix` of ``paths``, then the label file ``labels``
-    placed into the same id index, by sorting its own id keys unless its
+    placed into the same id index, by finding its ids there unless its
     rows come in the first file's order: how every command that reads
     labels, ``eval`` too, pairs them with prediction rows.
 
     Labels that hold exactly the matrix's ids come back keyed by the
-    matrix's own ``ids`` tuple.  Any other label file comes back as
+    matrix's own ``ids``.  Any other label file comes back as
     :func:`load_label_file` reads it, so the caller's ``align_to`` or
     ``restrict`` fails on it just where it would on that.  The label file is
     read last, so a prediction file's error wins over the label file's.
@@ -389,10 +379,10 @@ def _load_suite(paths, labels=None):
     if not paths:
         raise ValidationError("no prediction files given")
     # The one index, only where a later file or the labels are placed into it.
-    suite = _Suite() if len(paths) > 1 or labels is not None else None
+    suite = _Index() if len(paths) > 1 or labels is not None else None
     ids, values = _read_csv(paths[0], "prob", suite)
     if suite is not None and suite.ids is None:  # the row scanner read it
-        suite = suite.index(ids, _keys(_spans(ids)))  # None: each file alone
+        suite = suite.build(ids)  # None: each file alone
     series = _suite_series(_of_checked(ProbSeries, ids, values), paths[1:], suite)
     del values  # the join alone holds them, and frees them once copied
     matrix = PredictionMatrix.from_columns(model_names(paths), series)

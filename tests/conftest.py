@@ -29,6 +29,15 @@ with warnings.catch_warnings():
         pass
 
 
+# Stand-ins for ``idkeys._ranks`` that collide for every key of more than
+# one word, or for every two keys with the same first word.
+COLLIDING_RANKS = {
+    "constant": lambda keys: (keys[:, 0].copy() if keys.shape[1] == 1
+                              else np.zeros(len(keys), dtype=np.uint64)),
+    "first word": lambda keys: keys[:, 0].copy(),
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(20240817))

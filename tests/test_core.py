@@ -1,5 +1,8 @@
+import contextlib
 import gc
 import math
+import random
+import uuid
 from unittest import mock
 
 import numpy as np
@@ -17,7 +20,7 @@ from predfuse.io_files import (load_label_file, load_matrix,
                                save_matrix_files, save_prediction_file)
 from predfuse.synth import SyntheticSpec, generate
 
-from conftest import make_labels, make_matrix
+from conftest import COLLIDING_RANKS, make_labels, make_matrix
 
 
 # Brute-force oracle: harden with the >= t rule, then take the plain
@@ -395,6 +398,17 @@ _TRICKY_IDS = ["a", "ab", "a\0", "a\0\0", "b", "\x7f", "\xe9", "\u07ff",
                "p" * 999 + "\0x"]
 
 
+@contextlib.contextmanager
+def _ranks_patched(name):
+    """``idkeys._ranks`` replaced by the ``COLLIDING_RANKS`` one ``name``;
+    None leaves it as it is."""
+    if name is None:
+        yield
+        return
+    with mock.patch.object(idkeys, "_ranks", COLLIDING_RANKS[name]):
+        yield
+
+
 class TestSampleIds:
     def test_behaves_as_the_tuple_of_its_ids(self):
         ids = ProbSeries(("a", "b"), [0.5, 0.25]).ids
@@ -430,20 +444,56 @@ class TestSampleIds:
 
     def test_canonical_order_is_sorted_order(self):
         ids = core.SampleIds(_TRICKY_IDS[::-1])
-        assert [ids[i] for i in idkeys._canonical(ids)] == sorted(_TRICKY_IDS)
-        # So many tied ids that a round reads one window of each
+        assert [ids[i] for i in idkeys._sort(ids)[0]] == sorted(_TRICKY_IDS)
+        # Many ids tied on their first two windows
         many = [f"sample_prefix_{i}" for i in range(9000, 0, -1)]
         ids = core.SampleIds(many)
-        assert [ids[i] for i in idkeys._canonical(ids)] == sorted(many)
+        assert [ids[i] for i in idkeys._sort(ids)[0]] == sorted(many)
 
-    def test_pairs_ids_by_sorting_them_together(self):
-        series = ProbSeries(_TRICKY_IDS, np.arange(len(_TRICKY_IDS)) / 32)
-        back = sorted(_TRICKY_IDS)
-        assert series.align_to(back).tolist() == [
-            _TRICKY_IDS.index(sid) / 32 for sid in back]
-        with pytest.raises(AlignmentError, match="^probabilities have extra "
-                                                 "sample id 'a'$"):
-            series.align_to(back[1:])
+    @pytest.mark.parametrize("ranks", [None, *COLLIDING_RANKS])
+    def test_pairs_ids_through_their_keys(self, ranks):
+        """With the real sort keys, and with sort keys that collide, which
+        sends the pairing and the duplicate check to the sort."""
+        with _ranks_patched(ranks):
+            series = ProbSeries(_TRICKY_IDS, np.arange(len(_TRICKY_IDS)) / 32)
+            back = sorted(_TRICKY_IDS)
+            assert series.align_to(back).tolist() == [
+                _TRICKY_IDS.index(sid) / 32 for sid in back]
+            with pytest.raises(AlignmentError, match="^probabilities have extra "
+                                                     "sample id 'a'$"):
+                series.align_to(back[1:])
+            with pytest.raises(ValidationError, match=r"^duplicate sample ids: "
+                                                      r"\['abcdefgh', 'pp"):
+                ProbSeries(_TRICKY_IDS + ["p" * 999, "abcdefgh"], [0.5] * 29)
+
+    @pytest.mark.parametrize("ranks", [None, *COLLIDING_RANKS])
+    def test_a_found_sort_key_is_checked_word_for_word(self, ranks):
+        """``abcdefgh2`` shares its first word with ``abcdefgh1``, so it has
+        that id's sort key where only the first word sorts; and
+        ``ijklmnopqrstuvwxy`` fills the 16-byte keys of the index with the
+        bytes of ``ijklmnopqrstuvwx``."""
+        with _ranks_patched(ranks):
+            series = ProbSeries(["abcdefgh1", "b", "ijklmnopqrstuvwx"], [0.25, 0.5, 1])
+            assert series.align_to(["b", "ijklmnopqrstuvwx", "abcdefgh1"]).tolist() == [
+                0.5, 1, 0.25]
+            for other in ("abcdefgh2", "abcdefgh", "ijklmnopqrstuvwxy", "ijklmnopXYZ"):
+                with pytest.raises(AlignmentError, match=f"^probabilities are missing "
+                                                         f"sample id '{other}'$"):
+                    series.align_to(["b", other, "abcdefgh1"])
+
+    def test_long_ids_get_an_index(self):
+        """Ids as long as UUIDs, with a shared prefix, of one word and of
+        one word and a byte get distinct sort keys, so an index, kind by
+        kind and all together; one very long id among short ones gets none,
+        as its keys would be far wider than the ids."""
+        kinds = [[f"sample_{i:06d}" for i in range(5000)],
+                 [f"{i:08d}" for i in range(5000)],
+                 [str(uuid.UUID(int=random.Random(i).getrandbits(128)))
+                  for i in range(5000)],
+                 [str(i) for i in range(5000)]]
+        for strs in [*kinds, sum(kinds, [])]:
+            assert idkeys._Index().build(core.SampleIds(strs)) is not None
+        assert idkeys._Index().build(core.SampleIds(kinds[3] + ["x" * 10_000])) is None
 
     @settings(deadline=None)
     @given(st.lists(st.text(st.sampled_from("ab\0\xe9\ud800\U0001f600"),

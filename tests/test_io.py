@@ -23,7 +23,7 @@ from predfuse.io_files import (atomic_write_text, load_label_file, load_matrix,
                                save_prediction_file, save_weights)
 from predfuse.synth import SyntheticSpec, generate
 
-from conftest import traced_peak, write_shuffled_suite
+from conftest import COLLIDING_RANKS, traced_peak, write_shuffled_suite
 
 
 def write(path, text):
@@ -379,10 +379,10 @@ class TestLoadMatrix:
 
     def test_a_lone_file_builds_no_index(self, tmp_path):
         """A shuffled 50k-row file loaded alone: its ids and values, and
-        their sorted keys as their duplicate check, but no suite index,
-        which no later file or label file would be placed into.  This
-        peaks at 5.6 MB; a key-only dict as the check peaked at 6.4 MB, and
-        indexing the lone file's ids in a ``{id: row}`` dict at 7.8 MB."""
+        the index of their keys as their duplicate check, freed once it
+        passes, as no later file or label file would be placed into it.
+        This peaks at 2.3 MB; a key-only dict as the check peaked at 6.4 MB,
+        and indexing the lone file's ids in a ``{id: row}`` dict at 7.8 MB."""
         _, m = generate(SyntheticSpec(k=2, target_acc=(0.8, 0.9), n=50_000, seed=3))
         rows = np.random.default_rng(7).permutation(m.n_samples)
         save_prediction_file(tmp_path / "M1.csv", ProbSeries(
@@ -622,7 +622,7 @@ class TestLoadSuite:
         """A shuffled 20k-row suite with one 100,000-character id: keys as
         wide as that id would take 20k x 100 kB, about 2 GB, so no file of
         it gets keys, and each is read as a declined file is.  That peaks at
-        8.5 MB; a ``{id: row}`` dict index peaked at 3.7 MB."""
+        6.6 MB; a ``{id: row}`` dict index peaked at 3.7 MB."""
         ids = [f"s{i:05d}" for i in range(20_000)]
         ids[123] = "x" * 100_000
         rng = random.Random(5)
@@ -636,31 +636,23 @@ class TestLoadSuite:
         assert peak < 10e6, peak
 
     def test_a_shuffled_suite_is_joined_by_no_dict(self, tmp_path, monkeypatch):
-        """Neither ``core._index_of`` nor ``core._rows_in`` is called: every
-        later file and the label file are placed by their sorted keys."""
+        """Neither ``core._rows_of`` nor ``core._pair`` is called: every
+        later file and the label file are placed into the first file's
+        index as they are read, none paired by the join."""
         ids = [f"s{i:03d}" for i in range(200)]
         orders = [random.Random(j).sample(ids, len(ids)) for j in range(4)]
         files = [_suite_bytes(order, ["0.25"] * len(ids), "prob") for order in orders[:3]]
         files.append(_suite_bytes(orders[3], ["1"] * len(ids), "label"))
         self.agree(tmp_path, files, [False] * 4)
         calls = []
-        for module in (core, io_files):
-            for name in ("_index_of", "_rows_in"):
-                if hasattr(module, name):
-                    real = getattr(module, name)
-                    monkeypatch.setattr(module, name, lambda *args, real=real, name=name: (
-                        calls.append(name), real(*args))[1])
+        for name in ("_rows_of", "_pair"):
+            real = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda *args, real=real, name=name: (
+                calls.append(name), real(*args))[1])
         paths = [tmp_path / f"f{j}.csv" for j in range(4)]
         m, u = io_files.load_suite(paths[:-1], paths[-1])
         assert u.ids is m.ids
         assert calls == []
-
-
-# Sort keys that collide for every key of more than one word, or for every
-# two keys with the same first word.
-_COLLIDING = {"constant": lambda keys: (keys[:, 0].copy() if keys.shape[1] == 1
-                                        else np.zeros(len(keys), dtype=np.uint64)),
-              "first word": lambda keys: keys[:, 0].copy()}
 
 
 class TestLoadSuiteWhereSortKeysCollide(TestLoadSuite):
@@ -668,9 +660,9 @@ class TestLoadSuiteWhereSortKeysCollide(TestLoadSuite):
     that sorts it (``idkeys._ranks``) colliding: a collision only sends a
     file to the slower route."""
 
-    @pytest.fixture(autouse=True, scope="class", params=sorted(_COLLIDING))
+    @pytest.fixture(autouse=True, scope="class", params=sorted(COLLIDING_RANKS))
     def colliding(self, request):
-        with mock.patch.object(idkeys, "_ranks", _COLLIDING[request.param]):
+        with mock.patch.object(idkeys, "_ranks", COLLIDING_RANKS[request.param]):
             yield
 
     # Hypothesis runs a property test from one class only: this one's own.
