@@ -9,15 +9,15 @@ without silently misjoining; ``align_to`` takes only unique ids, and
 ``thresholded_distance`` pairs two id-keyed series by id or two arrays by
 position, never one of each.
 Ids and values are checked once: a public constructor checks plain ids
-(strings, non-empty, unique; a private ``SampleIds`` passes) and the values,
+(strings, non-empty, unique by one ``set``, as the file reader's row scanner
+checks them; a private ``SampleIds`` passes) and the values,
 and ``select``, ``column``, ``restrict``, the join (``from_columns``, which
 checks only the model names), the file reader and its suite join,
 ``predict``, ``apply_rule``, ``synth.generate`` and the hybrid's combined
 column build from checked parts through the private ``_of_checked``.
 Every value holds its ids as a ``SampleIds``: their UTF-8 bytes in one
 buffer, decoded only when read, paired through an index of keys cut from
-those bytes and ordered by sorting them (``idkeys``), never through a
-Python ``sorted`` or an ``{id: row}`` dict.
+those bytes (``idkeys._pair``), never through an ``{id: row}`` dict.
 
 The norm operations harden a real-valued series with the ``>= t`` rule first
 and then take the Euclidean norm of the resulting 0/1 vector.  They accept
@@ -27,13 +27,14 @@ raw values.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentError, ValidationError
-from .idkeys import SampleIds, _Index, _pair, _sort
+from .idkeys import SampleIds, _pair
 
 __all__ = [
     "LabelVector",
@@ -84,14 +85,10 @@ def _check_ids(ids) -> SampleIds:
         raise ValidationError("sample id set is empty")
     if "" in strs:
         raise ValidationError("sample ids must be non-empty")
-    out = SampleIds(strs)
-    del strs
-    if _Index().build(out) is None:  # a repeat, or no index: sort to tell
-        order, new = _sort(out)
-        if not new.all():  # the first of each repeated id, in sorted order
-            dupes = order[np.flatnonzero(~new[1:] & new[:-1]) + 1]
-            raise ValidationError(f"duplicate sample ids: {[out[i] for i in dupes[:5]]}")
-    return out
+    if len(set(strs)) < len(strs):
+        repeated = [sid for sid, n in Counter(strs).items() if n > 1]
+        raise ValidationError(f"duplicate sample ids: {sorted(repeated)[:5]}")
+    return SampleIds(strs)
 
 
 def _rows_of(ids: SampleIds, wanted, missing: str) -> np.ndarray:

@@ -13,14 +13,14 @@ Python ``sorted`` or a ``{id: row}`` dict:
   bytes padded with 0xFF to whole 8-byte words, equal exactly when the ids
   are) sorted by a one-word mix of each key (:func:`_ranks`).  Another
   set's ids are found in it by a binary search of their mixes, and each
-  match is then compared word for word.  The constructors' duplicate
-  check, ``restrict``, ``align_to`` and ``from_columns`` (:func:`_pair`)
-  and the file reader's suite join (:func:`_place`) all go through it.  A
+  match is then compared word for word.  The plain file reader's
+  duplicate check and suite join (:func:`_place`), and ``restrict``,
+  ``align_to`` and ``from_columns`` (:func:`_pair`) all go through it.  A
   set gets no index where two of its mixes are equal, as a repeated id's
   are, or where its keys would be far wider than its ids (one very long id
-  among short ones): the constructors and :func:`_pair` then sort
-  instead, and the reader reads the file as if its plain pass had
-  declined it.
+  among short ones): :func:`_pair` then sorts instead, and the reader
+  reads the file as if its plain pass had declined it.  Ids given as
+  ``str`` are checked by a ``set`` before they are encoded (``core``).
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ import numpy as np
 from .combiner import CombinerWeights, TrainConfig, TrainResult
 from .core import (LabelVector, PredictionMatrix, ProbSeries, SampleIds,
                    _of_checked)
-from .errors import ValidationError
+from .errors import ConstraintError, ValidationError
 from .idkeys import _decoded, _Index, _joined, _offsets, _place
 
 __all__ = ["load_prediction_file", "save_prediction_file", "load_label_file",
@@ -497,7 +497,7 @@ def load_weights(path) -> TrainResult:
     try:
         weights = CombinerWeights(tuple(names), np.asarray(wvals, dtype=float), b, t)
         cfg = TrainConfig(**tc)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    except (ValidationError, ConstraintError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return TrainResult(weights=weights, config=cfg, clipped_any=clipped_any,
                        degenerate_labels=False)

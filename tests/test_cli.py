@@ -212,10 +212,15 @@ class TestExitCodes:
         doc = json.loads(read(weights))
         doc["weights"][0] = -0.5
         weights.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
         code = main(["combine", "--method", "nn", "--weights", str(weights),
                      "--preds", *suite["test_preds"],
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
+        assert capsys.readouterr().err == (
+            f"predfuse: constraint violation: {weights}: "
+            "negative combination weight -0.5\n")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_malformed_csv_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -398,6 +403,39 @@ class TestFlagsBeforeFiles:
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == code
         assert capsys.readouterr().err == f"predfuse: {message.format(tmp=tmp_path)}\n"
+        assert not out.exists()
+
+
+_SWEEP = ["sweep-theta", "--preds", "P", "--labels", "L", "--base", "M1", "--aux", "M2"]
+
+
+class TestMalformedFlags:
+    """A malformed flag exits 2 with a line that names it, and nothing is
+    read or written."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["synth", "--models", "2", "--acc", "0.8,x"],
+         "predfuse synth: error: argument --acc: not a comma-separated float "
+         "list: '0.8,x'"),
+        ([*_SWEEP, "--grid", "0.5:0.9"], "predfuse sweep-theta: error: argument "
+         "--grid: grid must be lo:hi:step, got '0.5:0.9'"),
+        ([*_SWEEP, "--grid", "a:b:c"], "predfuse sweep-theta: error: argument "
+         "--grid: grid must be numeric, got 'a:b:c'"),
+    ], ids=["acc", "grid-parts", "grid-numeric"])
+    def test_parser_names_the_flag(self, tmp_path, capsys, argv, line):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == line
+        assert not out.exists()
+
+    def test_hybrid_needs_its_aux_models(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["combine", "--method", "hybrid", "--hybrid-base", "M1",
+                     "--preds", str(tmp_path / "missing.csv"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("predfuse: invalid input: --method hybrid "
+                                           "needs --hybrid-base and --hybrid-aux\n")
         assert not out.exists()
 
 

@@ -124,6 +124,17 @@ class TestForwardPath:
             predict(w, m)
 
 
+@pytest.mark.parametrize("names, w, b, message", [
+    (("M1", "M1"), [0.5, 0.5], 0.0, "model names must be non-empty and unique"),
+    (("M1", "M2"), [0.5], 0.0, "need exactly one weight per model"),
+    (("M1",), [math.nan], 0.0, "weights must be finite"),
+    (("M1",), [0.5], math.inf, "shift b must be finite"),
+], ids=["duplicate-names", "weight-count", "nan-weight", "infinite-shift"])
+def test_combiner_weights_rejected(names, w, b, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        CombinerWeights(names, w, b)
+
+
 class TestLoss:
     def test_uninformative_forward_gives_ln2(self):
         m = make_matrix([[0.2], [0.8], [0.5]])

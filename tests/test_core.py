@@ -116,6 +116,11 @@ class TestHarden:
             with pytest.raises(ValidationError):
                 harden([0.5], t)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_series_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^series must be finite$"):
+            harden([0.5, bad])
+
     def test_threshold_identity_with_shift(self, rng):
         # harden(sigmoid(s - b), t) == 1  iff  s >= b + ln(t/(1-t))
         for _ in range(50):
@@ -259,6 +264,9 @@ class TestAccuracy:
             accuracy(pred, make_labels([1, 0]))
 
 
+_SERIES = ProbSeries(("x", "y"), [0.1, 0.9])
+
+
 class TestContainers:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
@@ -317,6 +325,29 @@ class TestContainers:
         with pytest.raises(ValidationError,
                            match="^model 'B' is a LabelVector, not a ProbSeries$"):
             PredictionMatrix.from_columns(["A", "B"], [a, labels])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LabelVector(("a", "b"), [0]),
+         "label values must be 1-d and match the id count"),
+        (lambda: LabelVector(("a",), [[0]]),
+         "label values must be 1-d and match the id count"),
+        (lambda: ProbSeries(("a", "b"), [0.5]),
+         "probability values must be 1-d and match the id count"),
+        (lambda: ProbSeries(("a",), [[0.5]]),
+         "probability values must be 1-d and match the id count"),
+        (lambda: PredictionMatrix(("a",), (), np.zeros((1, 0))),
+         "a prediction matrix needs at least one model"),
+        (lambda: PredictionMatrix.from_columns(["A"], [_SERIES, _SERIES]),
+         "more series than the 1 model names"),
+        (lambda: PredictionMatrix.from_columns(["A"], []),
+         "no prediction columns given"),
+        (lambda: PredictionMatrix.from_columns(["A", "B"], [_SERIES]),
+         "1 series for 2 model names"),
+    ], ids=["label-count", "label-2d", "prob-count", "prob-2d", "no-model",
+            "more-series", "no-series", "fewer-series"])
+    def test_shape_and_count_errors(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
 
     def test_select_unknown_model(self):
         m = make_matrix([[0.5, 0.6]])
@@ -528,6 +559,42 @@ class TestCheckedIds:
     def test_plain_sequences_are_checked(self, build, kind, ids, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             build(kind(ids))
+
+    @pytest.mark.parametrize("ranks", [None, *COLLIDING_RANKS])
+    @pytest.mark.parametrize("build", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS.keys())
+    @pytest.mark.parametrize("ids, message", [
+        (["a\0", "a", "ab", "a\0", "a", "ab", "b"], r"['a', 'a\x00', 'ab']"),
+        (["\ue000", "\ud800", "\ud7ff", "\U0001f600", "\xe9", "\U0001f600",
+          "\ue000", "\ud800", "\ud7ff", "\xe9", "z", "z"],
+         "['z', '\xe9', '\\ud7ff', '\\ud800', '\\ue000']"),
+        (["\U0001f600", "\ud800\udc00", "\U00010000", "\ue000", "\ud800\udc00",
+          "\U00010000", "\U0001f600", "\ue000", "\udfff", "\udfff"],
+         "['\\ud800\\udc00', '\\udfff', '\\ue000', '\U00010000', '\U0001f600']"),
+        ([f"sample_{i:06d}" for i in range(9, -1, -1)] * 2,
+         "['sample_000000', 'sample_000001', 'sample_000002', 'sample_000003', "
+         "'sample_000004']"),
+    ], ids=["nul", "non-ascii", "astral", "shared-prefix"])
+    def test_duplicate_text_lists_the_first_five_in_code_point_order(
+            self, build, ids, message, ranks):
+        with _ranks_patched(ranks), pytest.raises(ValidationError) as err:
+            build(ids)
+        assert str(err.value) == f"duplicate sample ids: {message}"
+
+    def test_plain_ids_are_checked_without_the_byte_index_or_sort(self, monkeypatch):
+        """A set checks ids given as strings; their bytes are neither
+        indexed nor sorted."""
+        calls = []
+        build, sort = idkeys._Index.build, idkeys._sort
+        monkeypatch.setattr(idkeys._Index, "build",
+                            lambda self, ids: calls.append("build") or build(self, ids))
+        for module in (idkeys, core):
+            monkeypatch.setattr(module, "_sort", lambda ids: calls.append("sort") or sort(ids),
+                                raising=False)
+        ids = _TRICKY_IDS + [f"sample_{i:06d}" for i in range(5000)]
+        LabelVector(ids, [0] * len(ids))
+        ProbSeries(ids, [0.5] * len(ids))
+        PredictionMatrix(ids, ("M1",), np.full((len(ids), 1), 0.5))
+        assert calls == []
 
     def test_selected_and_restricted_values_are_not_checked_again(
             self, monkeypatch, tmp_path):

@@ -78,6 +78,10 @@ class TestKFold:
         with pytest.raises(ValidationError):
             kfold_split(["a", "b"], 3, 0)
 
+    def test_one_fold_rejected(self):
+        with pytest.raises(ValidationError, match="^need at least two folds$"):
+            kfold_split(["a", "b", "c"], 1, 0)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             kfold_split(["a", "b", "c"], 2, -1)
@@ -116,6 +120,16 @@ class TestMeanStdev:
 
 
 class TestCrossValidate:
+    def test_zero_repeats_rejected(self):
+        with pytest.raises(ValidationError, match="^need at least one repeat per fold$"):
+            RunPlan(repeats_per_fold=0)
+
+    def test_unknown_method_rejected(self):
+        method = object()
+        with pytest.raises(ValidationError) as err:
+            cross_validate(RunPlan(n_folds=2, repeats_per_fold=1), *small_suite(), method)
+        assert str(err.value) == f"unknown method {method!r}"
+
     def test_nn_produces_folds_times_repeats_records(self):
         train_m, train_u, test_m, test_u = small_suite()
         plan = RunPlan(n_folds=4, repeats_per_fold=3, seed=2)

@@ -1,5 +1,6 @@
 """Every name a module lists in ``__all__`` exists, so a star import works,
-and every private module-level name is used somewhere in the package."""
+every private module-level name is used somewhere in the package, and
+every private name a module imports from a sibling is used in it."""
 
 import ast
 import importlib
@@ -54,6 +55,19 @@ def test_no_private_helper_is_left_behind():
     loaded = {name for tree in trees.values() for name in _loads(tree)}
     unused = [f"{module}: {name}" for module, tree in trees.items()
               for name in _private_definitions(tree) if name not in loaded]
+    assert unused == []
+
+
+def test_no_private_import_is_left_behind():
+    """Every ``_name`` a module imports from a sibling module is used in it."""
+    unused = []
+    for path in sorted(Path(predfuse.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   for alias in node.names if alias.name.startswith("_")
+                   and (alias.asname or alias.name) not in names]
     assert unused == []
 
 

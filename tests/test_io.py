@@ -781,8 +781,29 @@ class TestWeightsJson:
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc["weights"][0] = -0.1
         write(path, json.dumps(doc))
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError) as err:
             load_weights(path)
+        assert str(err.value) == f"{path}: negative combination weight -0.1"
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: [doc], "expected a JSON object"),
+        (lambda doc: {**doc, "weights": doc["weights"][:1]},
+         "model_names and weights must be lists of equal length"),
+        (lambda doc: {**doc, "train_config": {
+            k: v for k, v in doc["train_config"].items() if k != "seed"}},
+         "train_config must carry exactly ['learning_rate', 'epochs', "
+         "'batch_size', 'l2', 'seed', 'shuffle_each_epoch']"),
+        (lambda doc: {**doc, "train_config": {**doc["train_config"],
+                                              "learning_rate": 0.0}},
+         "learning_rate must be positive and finite"),
+    ], ids=["array", "unequal-lengths", "no-seed", "learning-rate-0"])
+    def test_rejected_document_names_the_file(self, tmp_path, change, message):
+        path = tmp_path / "w.json"
+        save_weights(path, self.result())
+        write(path, json.dumps(change(json.loads(path.read_text(encoding="utf-8")))))
+        with pytest.raises(ValidationError) as err:
+            load_weights(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "w.json"

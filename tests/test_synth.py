@@ -105,6 +105,16 @@ class TestSyntheticSpec:
         with pytest.raises(ValidationError):
             SyntheticSpec(k=1, target_acc=(0.8,), rho=1.0)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(k=0, target_acc=()), "need at least one model"),
+        (dict(k=1, target_acc=(0.8,), n=0), "sample count must be positive"),
+        (dict(k=1, target_acc=(0.8,), balance=1.5), "balance must lie in [0, 1]"),
+    ], ids=["k", "n", "balance"])
+    def test_rejected_with_its_message(self, fields, message):
+        with pytest.raises(ValidationError) as err:
+            SyntheticSpec(**fields)
+        assert str(err.value) == message
+
     def test_sample_count_ceiling(self):
         assert SyntheticSpec(k=1, target_acc=(0.8,), n=10_000_000).n == 10_000_000
         with pytest.raises(ValidationError) as err:

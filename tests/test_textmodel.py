@@ -34,6 +34,16 @@ class TestTokenizeAndVocab:
         vocab = build_vocab(["b a", "b c"], v_size=10)
         assert vocab.tokens == ("b", "a", "c")  # b twice, ties a < c
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Vocabulary(()), "vocabulary is empty"),
+        (lambda: Vocabulary(("a", "a")), "vocabulary tokens must be unique"),
+        (lambda: build_vocab(["a b"], 0), "vocabulary size must be positive"),
+        (lambda: train_logistic(["a", "b"], [0, 2], v_size=2), "labels must be 0 or 1"),
+    ], ids=["empty", "repeated-token", "size-0", "label-2"])
+    def test_rejected_with_its_message(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
             build_vocab(["", "  "], v_size=3)
