@@ -91,15 +91,13 @@ def _check_ids(ids) -> SampleIds:
     return SampleIds(strs)
 
 
-def _rows_of(ids: SampleIds, wanted, missing: str) -> np.ndarray:
+def _rows_of(ids: SampleIds, wanted: SampleIds, missing: str) -> np.ndarray:
     """Row index in ``ids`` of each wanted id; AlignmentError names the first
     missing one.  ``wanted`` holds unique ids, as ``_as_ids`` makes them.
 
     Rows are found through an index of the bytes of ``ids``
-    (``idkeys._pair``).  ``wanted`` may be plain strings, which are only
-    encoded, not checked.
+    (``idkeys._pair``).
     """
-    wanted = wanted if isinstance(wanted, SampleIds) else SampleIds(wanted)
     rows = _pair(ids, wanted)
     lost = np.flatnonzero(rows < 0)
     if lost.size:

@@ -47,8 +47,9 @@ class SampleIds(Sequence):
     takes them as they are, so the ids of a loaded file are checked once
     and then travel with the data.
 
-    Indexing, iteration, ``len``, ``repr``, equality, ordering and hashing
-    are those of the tuple of its ids; a slice is a ``SampleIds`` too.
+    Indexing, iteration, ``len``, ``repr`` and equality are those of the
+    tuple of its ids; a slice is a ``SampleIds`` too.  It has no ordering,
+    hash or ``+``: ``tuple(ids)`` has them.
     """
 
     __slots__ = ("_raw", "_offsets")
@@ -82,38 +83,11 @@ class SampleIds(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
     def __eq__(self, other):
         if isinstance(other, SampleIds):
             return self is other or (np.array_equal(self._offsets, other._offsets)
                                      and np.array_equal(self._raw, other._raw))
         return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __lt__(self, other):
-        return _compared(tuple.__lt__, self, other)
-
-    def __le__(self, other):
-        return _compared(tuple.__le__, self, other)
-
-    def __gt__(self, other):
-        return _compared(tuple.__gt__, self, other)
-
-    def __ge__(self, other):
-        return _compared(tuple.__ge__, self, other)
-
-    def __add__(self, other):
-        return tuple(self) + other
-
-    def __radd__(self, other):
-        return other + tuple(self)
-
-
-def _compared(op, ids: SampleIds, other):
-    if not isinstance(other, (SampleIds, tuple)):
-        return NotImplemented
-    return op(tuple(ids), tuple(other))
 
 
 def _offsets(lens: np.ndarray) -> np.ndarray:

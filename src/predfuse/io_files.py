@@ -65,13 +65,16 @@ def atomic_write_text(path, text: str) -> None:
 def _atomic_write(writes) -> None:
     """For each ``(path, write)``, ``write(fh)`` fills a temp file beside
     ``path``; only when every file is written are they renamed into place,
-    in order.  Nothing new is left if a write raises.  A target that is a
-    directory, which would fail its rename, is refused before anything is
+    in order.  Nothing new is left if a write raises.  A target that is not
+    a regular file (a directory, whose rename would fail, or a FIFO, device
+    or socket, which it would replace) is refused before anything is
     written; any other failed rename leaves the files renamed before it."""
     for path, _ in writes:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                     str(path))
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError(f"not a regular file: {str(path)!r}")
     tmps = []
     try:
         for path, write in writes:

@@ -76,12 +76,15 @@ class TestSynth:
         for name in ("M1.csv", "M2.csv", "labels.csv"):
             assert read(a / name) == read(b / name)
 
-    @pytest.mark.parametrize("culprit", ["directory", "write"])
+    @pytest.mark.parametrize("culprit", ["directory", "fifo", "write"])
     def test_failed_last_file_leaves_no_model_file(self, tmp_path, monkeypatch,
                                                    capsys, culprit):
         out = tmp_path / "suite"
         if culprit == "directory":  # labels.csv cannot replace a directory
             (out / "labels.csv").mkdir(parents=True)
+        elif culprit == "fifo":  # nor is a FIFO replaced by a regular file
+            out.mkdir()
+            os.mkfifo(out / "labels.csv")
         else:  # the labels file is the last one written
             def failing(path, labels):
                 def write(fh):
@@ -93,7 +96,9 @@ class TestSynth:
                      "--n", "50", "--seed", "3", "--out", str(out)]) == 4
         assert "i/o error" in capsys.readouterr().err
         left = sorted(p.name for p in out.iterdir())
-        assert left == (["labels.csv"] if culprit == "directory" else [])
+        assert left == ([] if culprit == "write" else ["labels.csv"])
+        if culprit == "fifo":
+            assert (out / "labels.csv").is_fifo()
 
 
 class TestTrainAndCombine:
@@ -264,6 +269,18 @@ class TestExitCodes:
         reason = ("[Errno 2] No such file or directory" if target.startswith("nodir")
                   else "[Errno 20] Not a directory")
         assert errs == [f"predfuse: i/o error: {reason}: '{tmp_path / target}'\n"] * 2
+
+    def test_output_to_a_fifo_is_refused_unopened(self, suite, tmp_path, capsys):
+        """Checked by ``stat``: opening the FIFO would block, and the rename
+        would put a regular file in its place."""
+        (tmp_path / "out").mkdir()
+        fifo = tmp_path / "out" / "fifo"
+        os.mkfifo(fifo)
+        assert main(["combine", "--method", "max", "--preds", *suite["test_preds"],
+                     "--out", str(fifo)]) == 4
+        assert capsys.readouterr().err == (
+            f"predfuse: i/o error: not a regular file: '{fifo}'\n")
+        assert fifo.is_fifo() and [p.name for p in fifo.parent.iterdir()] == ["fifo"]
 
     def test_failed_run_leaves_no_partial_output(self, suite, tmp_path):
         out = tmp_path / "x.csv"
@@ -822,7 +839,7 @@ class TestCv:
                                                  method, edit):
         labels = io_files.load_label_file(suite["test_labels"])
         if edit == "extra":
-            bad = LabelVector(labels.ids + ("zz",), [*labels.values, 1])
+            bad = LabelVector(tuple(labels.ids) + ("zz",), [*labels.values, 1])
             message = "labels have extra sample id 'zz'"
         else:
             bad = labels.restrict(labels.ids[1:])

@@ -409,7 +409,8 @@ class TestRowsOf:
             | st.lists(pool, max_size=len(ids) + 2, unique=True))
         series = ProbSeries(ids, [k / len(ids) for k in range(len(ids))])
         for probe in (wanted, tuple(wanted)):
-            got = _outcome(lambda: core._rows_of(series.ids, probe, "no id"))
+            got = _outcome(lambda: core._rows_of(series.ids, core.SampleIds(probe),
+                                                 "no id"))
             want = _outcome(lambda: _rows_of_reference(series.ids, probe, "no id"))
             assert got == want
             got = _outcome(lambda: series.align_to(probe))
@@ -453,10 +454,20 @@ class TestSampleIds:
         assert list(ids) == ["a", "b"] and len(ids) == 2
         assert repr(ids) == "('a', 'b')" and repr(ids[:1]) == "('a',)"
         assert "a" in ids and "c" not in ids and ids.index("b") == 1
-        assert ids < ("a", "c") and ids > ("a",) and ids <= ids[:] >= ids
-        assert hash(ids) == hash(("a", "b")) and ids + ("c",) == ("a", "b", "c")
         with pytest.raises(ValidationError, match="^sample id set is empty$"):
             ProbSeries(ids[:0], [])
+
+    def test_has_no_ordering_hash_or_concatenation(self):
+        """A ``Sequence`` defines none of them; ``tuple(ids)`` has each."""
+        ids = ProbSeries(("a", "b"), [0.5, 0.25]).ids
+        for op in (lambda: ids < ("a", "c"), lambda: ids >= ids, lambda: hash(ids),
+                   lambda: ids + ("c",), lambda: ("c",) + ids):
+            with pytest.raises(TypeError):
+                op()
+        assert tuple(ids) < ("a", "c") and tuple(ids) >= tuple(ids)
+        assert hash(tuple(ids)) == hash(("a", "b"))
+        assert tuple(ids) + ("c",) == ("a", "b", "c")
+        assert ("c",) + tuple(ids) == ("c", "a", "b")
 
     def test_holds_one_buffer_not_one_str_per_id(self):
         ids = ProbSeries([f"s{i}" for i in range(1000)], [0.5] * 1000).ids

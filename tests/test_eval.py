@@ -272,7 +272,7 @@ class TestCrossValidate:
     def test_test_labels_must_carry_the_test_ids(self, method, edit, message):
         train_m, train_u, test_m, test_u = small_suite(n_test=60)
         if edit == "extra":
-            labels = LabelVector(test_u.ids + ("zz",), [*test_u.values, 1])
+            labels = LabelVector(tuple(test_u.ids) + ("zz",), [*test_u.values, 1])
         else:
             labels = test_u.restrict(test_u.ids[1:])
         with pytest.raises(AlignmentError, match=f"^{message}$"):
